@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GradientSet, neighbor_order, pairwise_sq_distances
+from .geometry import GradientSet, neighbor_order, neighborhood_blocks, pairwise_sq_distances
 from .prodigy import ProdigyParams, TrustScores, prodigy_aggregate
 
 AGGREGATOR_KINDS = ("average", "median", "trimmed_mean", "geomed", "krum", "cclip", "prodigy")
@@ -144,9 +144,8 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
         raise ValueError(f"mixing needs N - f >= 1, got N={n}, f={f}")
     order = neighbor_order(pairwise_sq_distances(g))
     mixed = np.empty_like(g.vectors)
-    for k in range(n):
-        members = np.concatenate(([k], order.indices[k, : n - f - 1]))
-        mixed[k] = g.vectors[members].mean(axis=0)
+    for rows, block in neighborhood_blocks(g, order, n - f):
+        mixed[rows] = block.mean(axis=1)
     return GradientSet(mixed, g.client_ids.copy())
 
 

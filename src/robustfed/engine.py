@@ -39,13 +39,21 @@ class ClientState:
 
 @dataclass
 class RoundRecord:
-    """Per-round metrics; loss/accuracy are filled on evaluation rounds only."""
+    """Per-round metrics; loss/accuracy are filled on evaluation rounds only.
+
+    The ``*_ms`` fields are wall-clock phase times: the final aggregation,
+    the honest and byzantine local updates, attack crafting (including its
+    search over the defense), and evaluation.
+    """
 
     round_idx: int
     gamma: float
     global_loss: float | None
     test_accuracy: float | None
     agg_wall_ms: float
+    client_ms: float
+    attack_ms: float
+    eval_ms: float
     degenerate: bool
     trust: TrustScores | None
 
@@ -173,34 +181,38 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         gamma = lr_schedule(t, sched)
         sent = np.empty((cfg.n_clients, model.param_dim))
 
+        start = time.perf_counter()
         for client in honest_clients:
             g = client_update(model, theta, client, sched, t)
             if sched.momentum > 0:
                 g = apply_momentum(client, g, sched.momentum)
             sent[client.client_id] = g
+        client_ms = (time.perf_counter() - start) * 1e3
 
+        attack_ms = 0.0
         if byz_clients:
+            local = None
+            if local_attack:
+                start = time.perf_counter()
+                local = GradientSet(
+                    np.stack([client_update(model, theta, c, sched, t) for c in byz_clients]),
+                    byz_ids,
+                )
+                client_ms += (time.perf_counter() - start) * 1e3
+            start = time.perf_counter()
             honest_set = GradientSet(
                 np.stack([sent[c.client_id] for c in honest_clients]),
                 np.array([c.client_id for c in honest_clients], dtype=np.int64),
             )
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
-            if local_attack:
-                local = GradientSet(
-                    np.stack([client_update(model, theta, c, sched, t) for c in byz_clients]),
-                    byz_ids,
-                )
-                crafted = craft_attack(cfg.attack, honest_set, byz_ids, defense, byz_local=local)
-                for i, client in enumerate(byz_clients):
-                    v = crafted.vectors[i]
-                    if sched.momentum > 0:
-                        v = apply_momentum(client, v, sched.momentum)
-                    sent[client.client_id] = v
-            else:
-                # omniscient attacks send their crafted vectors as-is
-                crafted = craft_attack(cfg.attack, honest_set, byz_ids, defense)
-                for i, client in enumerate(byz_clients):
-                    sent[client.client_id] = crafted.vectors[i]
+            crafted = craft_attack(cfg.attack, honest_set, byz_ids, defense, byz_local=local)
+            # omniscient attacks send their crafted vectors as-is
+            for i, client in enumerate(byz_clients):
+                v = crafted.vectors[i]
+                if local_attack and sched.momentum > 0:
+                    v = apply_momentum(client, v, sched.momentum)
+                sent[client.client_id] = v
+            attack_ms = (time.perf_counter() - start) * 1e3
 
         mixed = GradientSet(sent, np.arange(cfg.n_clients))
         start = time.perf_counter()
@@ -217,8 +229,10 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
             state.prev_aggregate = result.vector
 
         accuracy = loss = None
+        start = time.perf_counter()
         if (t + 1) % cfg.eval_every == 0 or t == sched.rounds - 1:
             accuracy, loss = evaluate(model, theta, test)
+        eval_ms = (time.perf_counter() - start) * 1e3
         records.append(
             RoundRecord(
                 round_idx=t,
@@ -226,6 +240,9 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
                 global_loss=loss,
                 test_accuracy=accuracy,
                 agg_wall_ms=wall_ms,
+                client_ms=client_ms,
+                attack_ms=attack_ms,
+                eval_ms=eval_ms,
                 degenerate=degenerate,
                 trust=result.trust,
             )

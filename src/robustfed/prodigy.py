@@ -17,6 +17,7 @@ from .geometry import (
     GradientSet,
     NeighborOrder,
     neighbor_order,
+    neighborhood_blocks,
     pairwise_sq_distances,
     vector_set_stats,
 )
@@ -104,10 +105,11 @@ def dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams)
     if f == 1:
         return np.ones(n)
     scores = np.empty(n)
-    for k in range(n):
-        members = np.concatenate(([k], order.indices[k, : f - 1]))
-        stats = vector_set_stats(g.vectors[members])
-        scores[k] = stats.spread / (float(np.linalg.norm(stats.mean)) + p.epsilon_guard)
+    for rows, block in neighborhood_blocks(g, order, f):
+        stats = vector_set_stats(block)
+        # One BLAS norm per mean row: a batched norm sums in another order.
+        norms = np.array([np.linalg.norm(mean) for mean in stats.mean])
+        scores[rows] = stats.spread / (norms + p.epsilon_guard)
     return scores
 
 

@@ -19,7 +19,7 @@ from .engine import TrainResult, run_training
 OUTPUT_DIR_ENV = "ROBUSTFED_OUTPUT_DIR"
 
 METRICS_COLUMNS = ("round", "gamma", "global_loss", "test_accuracy", "degenerate_flag")
-TIMINGS_COLUMNS = ("round", "agg_wall_ms")
+TIMINGS_COLUMNS = ("round", "agg_wall_ms", "client_ms", "attack_ms", "eval_ms")
 
 
 @dataclass
@@ -63,7 +63,7 @@ def write_timings_csv(result: TrainResult, path: Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TIMINGS_COLUMNS)
         for rec in result.records:
-            writer.writerow([rec.round_idx, repr(rec.agg_wall_ms)])
+            writer.writerow([rec.round_idx] + [repr(getattr(rec, c)) for c in TIMINGS_COLUMNS[1:]])
 
 
 def write_trust_jsonl(result: TrainResult, path: Path) -> None:

@@ -129,8 +129,10 @@ def test_stats_singleton_and_constant():
 
 
 def test_stats_empty_rejected():
-    with pytest.raises(ValueError):
-        vector_set_stats(np.empty((0, 3)))
+    # empty sets, empty batches, and arrays that are neither a set nor a batch
+    for shape in [(0, 3), (0, 2, 3), (2, 0, 3), (3,), (2, 2, 2, 2)]:
+        with pytest.raises(ValueError):
+            vector_set_stats(np.empty(shape))
 
 
 @settings(max_examples=150, deadline=None)

@@ -51,6 +51,14 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert len(evaluated) >= math.ceil(12 / cfg.eval_every)
     assert rows[0].keys() == {"round", "gamma", "global_loss", "test_accuracy", "degenerate_flag"}
 
+    with open(out / "timings.csv") as fh:
+        reader = csv.DictReader(fh)
+        timings = list(reader)
+    assert reader.fieldnames == ["round", "agg_wall_ms", "client_ms", "attack_ms", "eval_ms"]
+    assert [int(r["round"]) for r in timings] == list(range(12))
+    assert all(float(r[col]) >= 0.0 for r in timings for col in reader.fieldnames[1:])
+    assert all(float(r["client_ms"]) > 0.0 and float(r["attack_ms"]) > 0.0 for r in timings)
+
     lines = (out / "trust_scores.jsonl").read_text().strip().splitlines()
     assert len(lines) == 12
     first = json.loads(lines[0])
