@@ -9,6 +9,7 @@ per-client work is scheduled.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,38 +77,69 @@ def lr_schedule(round_idx: int, sched: TrainSchedule) -> float:
 def client_update(
     spec: ModelSpec,
     theta: np.ndarray,
-    client: ClientState,
+    clients: Sequence[ClientState],
     sched: TrainSchedule,
     round_idx: int,
 ) -> np.ndarray:
-    """Run the local iterations and return the rate-normalized displacement.
+    """Run the local iterations of each client; return the (len, P)
+    rate-normalized displacements, one row per client in order.
 
-    Batches are disjoint draws without replacement from the shard, reshuffled
+    Batches are disjoint draws without replacement from each shard, reshuffled
     when exhausted. One local iteration returns the mini-batch gradient itself
-    (the normalized one-step displacement telescopes to exactly that).
-    """
-    m = client.shard.n_samples
-    if sched.batch_size > m:
-        raise ValueError(
-            f"client {client.client_id} shard of {m} samples cannot fill a batch "
-            f"of {sched.batch_size}"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence([client.rng_stream, round_idx]))
-    perm = rng.permutation(m)
-    if sched.local_iters == 1:
-        return model_gradient(spec, theta, client.shard.subset(perm[: sched.batch_size]))
+    (the normalized one-step displacement telescopes to exactly that). The
+    clients step in lockstep, one batched model pass per local iteration, and
+    every row equals that client's update computed alone.
 
-    gamma = lr_schedule(round_idx, sched)
+    The error raised is that of the first failing client in order: a shard
+    that cannot fill a batch, or non-finite logits at any local iteration.
+    """
+    clients = list(clients)
+    b = sched.batch_size
+    error = None
+    for k, client in enumerate(clients):
+        if b > client.shard.n_samples:
+            error = ValueError(
+                f"client {client.client_id} shard of {client.shard.n_samples} samples "
+                f"cannot fill a batch of {b}"
+            )
+            clients = clients[:k]
+            break
+    if error is not None and not clients:
+        raise error
+
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([c.rng_stream, round_idx])) for c in clients
+    ]
+    perms = [rng.permutation(c.shard.n_samples) for rng, c in zip(rngs, clients)]
+    starts = [0] * len(clients)
+    gamma = lr_schedule(round_idx, sched) if sched.local_iters > 1 else None
     theta_local = theta
-    pos = 0
     for _ in range(sched.local_iters):
-        if pos + sched.batch_size > m:
-            perm = rng.permutation(m)
-            pos = 0
-        batch = client.shard.subset(perm[pos : pos + sched.batch_size])
-        pos += sched.batch_size
-        theta_local = theta_local - gamma * model_gradient(spec, theta_local, batch)
-    return (theta - theta_local) / gamma
+        for k, client in enumerate(clients):
+            if starts[k] + b > client.shard.n_samples:
+                perms[k] = rngs[k].permutation(client.shard.n_samples)
+                starts[k] = 0
+        idx = [perm[s : s + b] for perm, s in zip(perms, starts)]
+        x = np.stack([c.shard.features[i] for c, i in zip(clients, idx)])
+        y = np.stack([c.shard.labels[i] for c, i in zip(clients, idx)])
+        starts = [s + b for s in starts]
+        try:
+            grad = model_gradient(spec, theta_local, (x, y))
+        except ValueError as err:
+            # the clients before the diverged one carry on, as they would alone;
+            # re-raise if it is the first client or not a divergence at all
+            n = getattr(err, "client", None)
+            if not n:
+                raise
+            error = err
+            clients, rngs, perms, starts = clients[:n], rngs[:n], perms[:n], starts[:n]
+            theta_local = theta_local if theta_local.ndim == 1 else theta_local[:n]
+            grad = model_gradient(spec, theta_local, (x[:n], y[:n]))
+        if gamma is not None:
+            theta_local = theta_local - gamma * grad
+    if error is not None:
+        raise error
+    return grad if gamma is None else (theta - theta_local) / gamma
 
 
 def apply_momentum(client: ClientState, g: np.ndarray, beta: float) -> np.ndarray:
@@ -169,12 +201,15 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     clients, test = build_clients(cfg)
     honest_clients = [c for c in clients if c.role == HONEST]
     byz_clients = [c for c in clients if c.role == BYZANTINE]
+    honest_ids = np.array([c.client_id for c in honest_clients], dtype=np.int64)
     byz_ids = np.array([c.client_id for c in byz_clients], dtype=np.int64)
 
     aggregator = Aggregator(cfg.defense, cfg.n_clients, cfg.n_byzantine)
     state = AggregatorState()
     theta = init_params(model, stream_id(cfg.seed, "init"))
     local_attack = cfg.attack.kind in ("none", "sign_flip", "label_flip")
+    # honest clients first: their updates, and errors, come before the byzantines'
+    local_clients = honest_clients + (byz_clients if local_attack else [])
 
     records: list[RoundRecord] = []
     for t in range(sched.rounds):
@@ -182,28 +217,20 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         sent = np.empty((cfg.n_clients, model.param_dim))
 
         start = time.perf_counter()
-        for client in honest_clients:
-            g = client_update(model, theta, client, sched, t)
+        updates = client_update(model, theta, local_clients, sched, t)
+        for client, g in zip(honest_clients, updates):
             if sched.momentum > 0:
                 g = apply_momentum(client, g, sched.momentum)
             sent[client.client_id] = g
+        local = None
+        if byz_clients and local_attack:
+            local = GradientSet(updates[len(honest_clients) :], byz_ids)
         client_ms = (time.perf_counter() - start) * 1e3
 
         attack_ms = 0.0
         if byz_clients:
-            local = None
-            if local_attack:
-                start = time.perf_counter()
-                local = GradientSet(
-                    np.stack([client_update(model, theta, c, sched, t) for c in byz_clients]),
-                    byz_ids,
-                )
-                client_ms += (time.perf_counter() - start) * 1e3
             start = time.perf_counter()
-            honest_set = GradientSet(
-                np.stack([sent[c.client_id] for c in honest_clients]),
-                np.array([c.client_id for c in honest_clients], dtype=np.int64),
-            )
+            honest_set = GradientSet(sent[honest_ids], honest_ids)
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
             crafted = craft_attack(cfg.attack, honest_set, byz_ids, defense, byz_local=local)
             # omniscient attacks send their crafted vectors as-is
@@ -248,7 +275,10 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
             )
         )
 
-    final_accuracy, final_loss = evaluate(model, theta, test)
+    if records:  # the last round always evaluates
+        final_accuracy, final_loss = records[-1].test_accuracy, records[-1].global_loss
+    else:
+        final_accuracy, final_loss = evaluate(model, theta, test)
     return TrainResult(
         theta=theta, records=records, final_accuracy=final_accuracy, final_loss=final_loss
     )

@@ -60,19 +60,35 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 def _unpack_linear(spec: ModelSpec, theta: np.ndarray):
     p, c = spec.input_dim, spec.n_classes
-    w = theta[: c * p].reshape(c, p)
-    b = theta[c * p :]
+    lead = theta.shape[:-1]
+    w = theta[..., : c * p].reshape(lead + (c, p))
+    b = theta[..., c * p :]
     return w, b
 
 
 def _unpack_mlp(spec: ModelSpec, theta: np.ndarray):
     p, c, h = spec.input_dim, spec.n_classes, spec.hidden
-    parts = np.split(theta, np.cumsum([h * p, h, c * h]))
-    return parts[0].reshape(h, p), parts[1], parts[2].reshape(c, h), parts[3]
+    lead = theta.shape[:-1]
+    parts = np.split(theta, np.cumsum([h * p, h, c * h]), axis=-1)
+    return parts[0].reshape(lead + (h, p)), parts[1], parts[2].reshape(lead + (c, h)), parts[3]
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (``ndarray.mT`` needs numpy 2)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _over_batch(bias: np.ndarray) -> np.ndarray:
+    """A per-client bias (N, k) as (N, 1, k), so it broadcasts over the batch axis."""
+    return bias if bias.ndim == 1 else bias[:, None, :]
 
 
 def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
     """Logits plus the hidden activations needed for backprop.
+
+    ``x`` is (B, p) with theta (P,), or (N, B, p) with theta shared (P,) or
+    per client (N, P); each client's products are its own matmul slice, so a
+    stacked pass equals the per-client passes bit for bit.
 
     Overflow is not a warning here: divergence surfaces as the explicit
     non-finite-logits rejection in the callers.
@@ -80,47 +96,73 @@ def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "softmax_linear":
             w, b = _unpack_linear(spec, theta)
-            return x @ w.T + b, None
+            return x @ _mT(w) + _over_batch(b), None
         w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-        hidden = np.tanh(x @ w1.T + b1)
-        return hidden @ w2.T + b2, hidden
+        hidden = np.tanh(x @ _mT(w1) + _over_batch(b1))
+        return hidden @ _mT(w2) + _over_batch(b2), hidden
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def model_gradient(spec: ModelSpec, theta: np.ndarray, batch: LabeledDataset) -> np.ndarray:
-    """Analytic gradient of mean cross-entropy plus l2_reg * theta."""
+def model_gradient(spec: ModelSpec, theta: np.ndarray, batch) -> np.ndarray:
+    """Analytic gradient of mean cross-entropy plus l2_reg * theta.
+
+    ``batch`` is a LabeledDataset or a ``(features, labels)`` pair. Features
+    (B, p) with labels (B,) and theta (P,) give the (P,) gradient. Features
+    (N, B, p) with labels (N, B) hold one batch per client; theta is then
+    shared (P,) or per client (N, P), and row k of the (N, P) result is
+    bit-identical to the 2-D call on client k's batch and parameters.
+
+    A batched call that meets non-finite logits raises for the first such
+    client; the error's ``client`` attribute holds its row.
+    """
+    x, y = (batch.features, batch.labels) if isinstance(batch, LabeledDataset) else batch
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (spec.param_dim,):
-        raise ValueError(f"theta must have shape ({spec.param_dim},), got {theta.shape}")
-    x, y = batch.features, batch.labels
-    m = batch.n_samples
-    logits, hidden = _forward(spec, theta, x)
-    if not np.isfinite(logits).all():
+    single = x.ndim == 2
+    if single:
+        if theta.shape != (spec.param_dim,):
+            raise ValueError(f"theta must have shape ({spec.param_dim},), got {theta.shape}")
+        x, y = x[None], y[None]
+    n, m = y.shape
+    if x.shape != (n, m, spec.input_dim) or theta.shape not in {
+        (spec.param_dim,),
+        (n, spec.param_dim),
+    }:
         raise ValueError(
-            f"non-finite logits (max |theta| = {np.abs(theta).max():.3e}); training diverged"
+            f"features {x.shape}, labels {y.shape} and theta {theta.shape} do not form "
+            f"(N, B, {spec.input_dim}), (N, B) and ({spec.param_dim},) or (N, {spec.param_dim})"
         )
+    logits, hidden = _forward(spec, theta, x)
+    finite = np.isfinite(logits).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        offending = theta if theta.ndim == 1 else theta[k]
+        err = ValueError(
+            f"non-finite logits (max |theta| = {np.abs(offending).max():.3e}); training diverged"
+        )
+        err.client = k
+        raise err
     probs = np.exp(_log_softmax(logits))
-    probs[np.arange(m), y] -= 1.0
+    probs[np.arange(n)[:, None], np.arange(m), y] -= 1.0
     dlogits = probs / m
 
     if spec.kind == "softmax_linear":
-        grad = np.concatenate([(dlogits.T @ x).ravel(), dlogits.sum(axis=0)])
+        parts = [_mT(dlogits) @ x, dlogits.sum(axis=1)]
     else:
         w1, b1, w2, b2 = _unpack_mlp(spec, theta)
         dhidden = (dlogits @ w2) * (1.0 - hidden**2)
-        grad = np.concatenate(
-            [
-                (dhidden.T @ x).ravel(),
-                dhidden.sum(axis=0),
-                (dlogits.T @ hidden).ravel(),
-                dlogits.sum(axis=0),
-            ]
-        )
-    return grad + spec.l2_reg * theta
+        parts = [
+            _mT(dhidden) @ x,
+            dhidden.sum(axis=1),
+            _mT(dlogits) @ hidden,
+            dlogits.sum(axis=1),
+        ]
+    grad = np.concatenate([part.reshape(n, -1) for part in parts], axis=1)
+    grad = grad + spec.l2_reg * theta
+    return grad[0] if single else grad
 
 
 def model_loss(spec: ModelSpec, theta: np.ndarray, data: LabeledDataset) -> float:

@@ -94,7 +94,7 @@ def test_client_update_single_step_is_batch_gradient():
     spec, client = make_client(rng)
     sched = TrainSchedule(rounds=10, local_iters=1, batch_size=8)
     theta = rng.standard_normal(spec.param_dim)
-    update = client_update(spec, theta, client, sched, round_idx=0)
+    update = client_update(spec, theta, [client], sched, round_idx=0)[0]
     # reconstruct the batch from the same counter-based stream
     stream = np.random.default_rng(np.random.SeedSequence([client.rng_stream, 0]))
     batch_idx = stream.permutation(client.shard.n_samples)[:8]
@@ -109,7 +109,8 @@ def test_client_update_gamma_invariant_at_single_step():
     fast = TrainSchedule(rounds=10, gamma_hi=0.05)
     slow = TrainSchedule(rounds=10, gamma_hi=0.025)
     assert np.array_equal(
-        client_update(spec, theta, client, fast, 0), client_update(spec, theta, client, slow, 0)
+        client_update(spec, theta, [client], fast, 0)[0],
+        client_update(spec, theta, [client], slow, 0)[0],
     )
 
 
@@ -118,7 +119,7 @@ def test_client_update_two_steps_matches_literal_oracle():
     spec, client = make_client(rng)
     sched = TrainSchedule(rounds=10, local_iters=2, batch_size=8)
     theta = rng.standard_normal(spec.param_dim)
-    update = client_update(spec, theta, client, sched, round_idx=1)
+    update = client_update(spec, theta, [client], sched, round_idx=1)[0]
 
     stream = np.random.default_rng(np.random.SeedSequence([client.rng_stream, 1]))
     perm = stream.permutation(client.shard.n_samples)
@@ -134,7 +135,7 @@ def test_client_update_reshuffles_when_exhausted():
     spec, client = make_client(rng, n_samples=10)
     sched = TrainSchedule(rounds=10, local_iters=3, batch_size=4)
     theta = rng.standard_normal(spec.param_dim)
-    update = client_update(spec, theta, client, sched, round_idx=0)
+    update = client_update(spec, theta, [client], sched, round_idx=0)[0]
     assert np.all(np.isfinite(update))
 
 
@@ -143,7 +144,7 @@ def test_client_update_rejects_small_shard():
     spec, client = make_client(rng, n_samples=4)
     sched = TrainSchedule(rounds=10, batch_size=8)
     with pytest.raises(ValueError, match="batch"):
-        client_update(spec, rng.standard_normal(spec.param_dim), client, sched, 0)
+        client_update(spec, rng.standard_normal(spec.param_dim), [client], sched, 0)
 
 
 def test_byzantine_roles_and_label_flip_shards():
@@ -165,6 +166,26 @@ def test_zero_rounds_returns_initial_model():
     from robustfed.models import init_params
 
     assert np.array_equal(result.theta, init_params(cfg.model, stream_id(cfg.seed, "init")))
+
+
+@pytest.mark.parametrize("rounds, evaluations", [(20, 4), (7, 2), (0, 1)])
+def test_final_metrics_come_from_the_last_evaluation(monkeypatch, rounds, evaluations):
+    """Each evaluation round evaluates once; the final model is not evaluated
+    again, except a zero-round run's initial model."""
+    calls = []
+    original = engine_mod.evaluate
+
+    def counting_evaluate(spec, theta, test):
+        calls.append(theta.copy())
+        return original(spec, theta, test)
+
+    monkeypatch.setattr(engine_mod, "evaluate", counting_evaluate)
+    result = run_training(small_config(schedule={"rounds": rounds, "batch_size": 8}))
+    assert len(calls) == evaluations
+    assert np.array_equal(calls[-1], result.theta)
+    if rounds:
+        last = result.records[-1]
+        assert (result.final_accuracy, result.final_loss) == (last.test_accuracy, last.global_loss)
 
 
 def test_f0_average_bit_parity_with_sgd_oracle():

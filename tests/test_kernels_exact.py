@@ -1,10 +1,11 @@
-"""The vectorized geometry kernels against per-client loop references.
+"""The vectorized kernels against per-client loop references.
 
 The loop functions below are the earlier implementations of the same
-kernels. The vectorized kernels keep every floating-point operation and its
-order, so results must be equal bit for bit, not within a tolerance; the
-tolerance-based checks against independent oracles live in the other test
-files.
+kernels: the geometry kernels, and the model gradient, client update and
+round loop that ran one client at a time. The vectorized kernels keep every
+floating-point operation and its order, so results must be equal bit for
+bit, not within a tolerance; the tolerance-based checks against independent
+oracles live in the other test files.
 """
 
 from contextlib import ExitStack
@@ -16,7 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustfed import aggregators, prodigy
-from robustfed.aggregators import Aggregator, AggregatorSpec, krum, nnm_mix
+from robustfed.aggregators import Aggregator, AggregatorSpec, AggregatorState, krum, nnm_mix
+from robustfed.attacks import craft_attack
+from robustfed.config import TrainSchedule, config_from_dict, validate_config
+from robustfed.datasim import LabeledDataset
+from robustfed.engine import (
+    BYZANTINE,
+    HONEST,
+    ClientState,
+    apply_momentum,
+    build_clients,
+    client_update,
+    lr_schedule,
+    run_training,
+)
 from robustfed.geometry import (
     GATHER_BYTES,
     DistanceMatrix,
@@ -26,12 +40,14 @@ from robustfed.geometry import (
     pairwise_sq_distances,
     vector_set_stats,
 )
+from robustfed.models import ModelSpec, evaluate, init_params, model_gradient
 from robustfed.prodigy import (
     DegenerateRoundError,
     ProdigyParams,
     dissimilarity_scores,
     prodigy_aggregate,
 )
+from robustfed.seeding import stream_id
 
 
 def loop_pairwise_sq_distances(g: GradientSet) -> DistanceMatrix:
@@ -231,3 +247,273 @@ def test_batched_stats_equal_separate_calls(b, m, d, seed):
         mean, spread = loop_vector_set_stats(batch[i])
         assert np.array_equal(single.mean, mean)
         assert single.spread == spread
+
+
+# --- client updates: one batched pass against the per-client loop ------------
+
+
+def loop_model_gradient(spec, theta, batch):
+    """The single-client gradient as it was, before the client axis."""
+    p, c, h = spec.input_dim, spec.n_classes, spec.hidden
+    x, y, m = batch.features, batch.labels, batch.n_samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "softmax_linear":
+            w, b = theta[: c * p].reshape(c, p), theta[c * p :]
+            logits, hidden = x @ w.T + b, None
+        else:
+            parts = np.split(theta, np.cumsum([h * p, h, c * h]))
+            w1, b1, w2, b2 = parts[0].reshape(h, p), parts[1], parts[2].reshape(c, h), parts[3]
+            hidden = np.tanh(x @ w1.T + b1)
+            logits = hidden @ w2.T + b2
+    if not np.isfinite(logits).all():
+        raise ValueError(
+            f"non-finite logits (max |theta| = {np.abs(theta).max():.3e}); training diverged"
+        )
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    probs[np.arange(m), y] -= 1.0
+    dlogits = probs / m
+    if spec.kind == "softmax_linear":
+        grad = np.concatenate([(dlogits.T @ x).ravel(), dlogits.sum(axis=0)])
+    else:
+        dhidden = (dlogits @ w2) * (1.0 - hidden**2)
+        grad = np.concatenate(
+            [
+                (dhidden.T @ x).ravel(),
+                dhidden.sum(axis=0),
+                (dlogits.T @ hidden).ravel(),
+                dlogits.sum(axis=0),
+            ]
+        )
+    return grad + spec.l2_reg * theta
+
+
+def loop_client_update(spec, theta, client, sched, round_idx):
+    m = client.shard.n_samples
+    if sched.batch_size > m:
+        raise ValueError(
+            f"client {client.client_id} shard of {m} samples cannot fill a batch "
+            f"of {sched.batch_size}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence([client.rng_stream, round_idx]))
+    perm = rng.permutation(m)
+    if sched.local_iters == 1:
+        return loop_model_gradient(spec, theta, client.shard.subset(perm[: sched.batch_size]))
+
+    gamma = lr_schedule(round_idx, sched)
+    theta_local = theta
+    pos = 0
+    for _ in range(sched.local_iters):
+        if pos + sched.batch_size > m:
+            perm = rng.permutation(m)
+            pos = 0
+        batch = client.shard.subset(perm[pos : pos + sched.batch_size])
+        pos += sched.batch_size
+        theta_local = theta_local - gamma * loop_model_gradient(spec, theta_local, batch)
+    return (theta - theta_local) / gamma
+
+
+def loop_run_training(cfg):
+    """The round loop as it was: one client_update call per client."""
+    validate_config(cfg)
+    sched, model = cfg.schedule, cfg.model
+    clients, test = build_clients(cfg)
+    honest_clients = [c for c in clients if c.role == HONEST]
+    byz_clients = [c for c in clients if c.role == BYZANTINE]
+    byz_ids = np.array([c.client_id for c in byz_clients], dtype=np.int64)
+    aggregator = Aggregator(cfg.defense, cfg.n_clients, cfg.n_byzantine)
+    state = AggregatorState()
+    theta = init_params(model, stream_id(cfg.seed, "init"))
+    local_attack = cfg.attack.kind in ("none", "sign_flip", "label_flip")
+    evaluations = []
+    for t in range(sched.rounds):
+        sent = np.empty((cfg.n_clients, model.param_dim))
+        for client in honest_clients:
+            g = loop_client_update(model, theta, client, sched, t)
+            if sched.momentum > 0:
+                g = apply_momentum(client, g, sched.momentum)
+            sent[client.client_id] = g
+        if byz_clients:
+            local = None
+            if local_attack:
+                local = GradientSet(
+                    np.stack([loop_client_update(model, theta, c, sched, t) for c in byz_clients]),
+                    byz_ids,
+                )
+            honest_set = GradientSet(
+                np.stack([sent[c.client_id] for c in honest_clients]),
+                np.array([c.client_id for c in honest_clients], dtype=np.int64),
+            )
+            defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
+            crafted = craft_attack(cfg.attack, honest_set, byz_ids, defense, byz_local=local)
+            for i, client in enumerate(byz_clients):
+                v = crafted.vectors[i]
+                if local_attack and sched.momentum > 0:
+                    v = apply_momentum(client, v, sched.momentum)
+                sent[client.client_id] = v
+        try:
+            result = aggregator(GradientSet(sent, np.arange(cfg.n_clients)), state)
+        except DegenerateRoundError:
+            result = None
+        if result is not None:
+            theta = theta - lr_schedule(t, sched) * result.vector
+            state.prev_aggregate = result.vector
+        if (t + 1) % cfg.eval_every == 0 or t == sched.rounds - 1:
+            evaluations.append((t, *evaluate(model, theta, test)))
+    return theta, evaluations
+
+
+def random_gradient_case(kind, n, b, p, c, h, shared, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(kind, input_dim=p, n_classes=c, hidden=h if kind == "mlp" else 0)
+    features = rng.standard_normal((n, b, p)) * rng.uniform(0.1, 10.0)
+    labels = rng.integers(0, c, (n, b))
+    theta = rng.standard_normal(spec.param_dim if shared else (n, spec.param_dim))
+    return spec, features, labels, theta
+
+
+def assert_gradient_rows_exact(spec, features, labels, theta):
+    batched = model_gradient(spec, theta, (features, labels))
+    assert batched.shape == (len(features), spec.param_dim)
+    for k in range(len(features)):
+        single = LabeledDataset(features[k], labels[k], spec.n_classes)
+        row_theta = theta if theta.ndim == 1 else theta[k]
+        expected = loop_model_gradient(spec, row_theta, single)
+        assert np.array_equal(batched[k], expected)
+        assert np.array_equal(model_gradient(spec, row_theta, single), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["softmax_linear", "mlp"]),
+    st.integers(1, 11),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.integers(2, 7),
+    st.integers(1, 9),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_gradient_equals_per_client_calls(kind, n, b, p, c, h, shared, seed):
+    assert_gradient_rows_exact(*random_gradient_case(kind, n, b, p, c, h, shared, seed))
+
+
+@pytest.mark.parametrize("kind", ["softmax_linear", "mlp"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_client"])
+@pytest.mark.parametrize("n, b", [(1, 32), (7, 1), (1, 1), (10, 32)])
+def test_batched_gradient_edge_shapes(kind, shared, n, b):
+    spec, features, labels, theta = random_gradient_case(kind, n, b, 20, 10, 64, shared, n * b)
+    assert_gradient_rows_exact(spec, features, labels, theta)
+    if n == 1:
+        # a 2-D call is the one-client case and keeps its (P,) shape
+        single = LabeledDataset(features[0], labels[0], spec.n_classes)
+        flat = model_gradient(spec, theta if shared else theta[0], single)
+        assert flat.shape == (spec.param_dim,)
+
+
+def exact_config(local_iters, attack):
+    return config_from_dict(
+        {
+            "n_clients": 7,
+            "n_byzantine": 2,
+            "seed": 5,
+            "eval_every": 4,
+            "model": {"kind": "mlp", "hidden": 8},
+            "data": {
+                "n_classes": 3,
+                "dim": 5,
+                "per_class": 30,
+                "separation": 3.0,
+                "test_per_class": 20,
+                "partition": "iid",
+            },
+            # 12-sample shards hold two batches of 5, so three local steps reshuffle
+            "schedule": {
+                "rounds": 14,
+                "local_iters": local_iters,
+                "batch_size": 5,
+                "momentum": 0.9,
+                "gamma_hi": 0.2,
+            },
+            "attack": {"kind": attack},
+            "defense": {"kind": "prodigy"},
+        }
+    )
+
+
+@pytest.mark.parametrize("attack", ["sign_flip", "label_flip"])
+@pytest.mark.parametrize("local_iters", [1, 3])
+def test_run_training_equals_per_client_round_loop(local_iters, attack):
+    result = run_training(exact_config(local_iters, attack))
+    theta, evaluations = loop_run_training(exact_config(local_iters, attack))
+    assert np.array_equal(result.theta, theta)
+    recorded = [
+        (r.round_idx, r.test_accuracy, r.global_loss)
+        for r in result.records
+        if r.test_accuracy is not None
+    ]
+    assert recorded == evaluations
+    assert (result.final_accuracy, result.final_loss) == evaluations[-1][1:]
+
+
+def error_clients(kinds):
+    """Softmax clients on 2-D features, one per kind: 'ok', 'small' (cannot
+    fill a batch of 4), 'late' (diverges at the second local step under
+    ERROR_SCHEDULE) and 'early' (non-finite logits at the first step)."""
+    rng = np.random.default_rng(0)
+    clients = []
+    for k, kind in enumerate(kinds):
+        n = 3 if kind == "small" else 12
+        features = rng.standard_normal((n, 2))
+        if kind == "late":
+            features *= 1e10
+        if kind == "early":
+            features = np.full((n, 2), 1e308)
+        shard = LabeledDataset(features, rng.integers(0, 2, n), 2)
+        clients.append(ClientState(k, shard, np.zeros(6), HONEST, stream_id(1, "client", k)))
+    return clients
+
+
+ERROR_SPEC = ModelSpec("softmax_linear", input_dim=2, n_classes=2, l2_reg=0.0)
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("ok", "small", "small"),
+        ("small", "ok"),
+        ("late", "early"),
+        ("early", "late"),
+        ("late", "ok", "early"),
+        ("ok", "late", "small"),
+        ("ok", "small", "early"),
+        ("ok", "early", "late", "ok"),
+    ],
+)
+@pytest.mark.parametrize("local_iters", [1, 3])
+def test_client_update_errors_follow_client_order(kinds, local_iters):
+    """The first failing client in order raises, even when a later client
+    fails at an earlier local step."""
+    sched = TrainSchedule(rounds=4, local_iters=local_iters, batch_size=4, gamma_hi=1e290)
+    clients = error_clients(kinds)
+    theta = np.ones(ERROR_SPEC.param_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as expected:
+            for client in clients:
+                loop_client_update(ERROR_SPEC, theta, client, sched, 0)
+        with pytest.raises(ValueError) as raised:
+            client_update(ERROR_SPEC, theta, clients, sched, 0)
+    assert str(raised.value) == str(expected.value)
+    if kinds[0] == "late" and local_iters > 1:
+        # the 'late' client's own parameters, not the shared start of 'early'
+        assert "max |theta| = 1.000e+00" not in str(raised.value)
+
+
+def test_client_update_rows_follow_client_order():
+    clients = error_clients(["ok"] * 5)
+    spec = ModelSpec("softmax_linear", input_dim=2, n_classes=2)
+    sched = TrainSchedule(rounds=4, local_iters=3, batch_size=5, gamma_hi=0.5)
+    theta = np.random.default_rng(1).standard_normal(spec.param_dim)
+    batched = client_update(spec, theta, clients[::-1], sched, 2)
+    expected = np.stack([loop_client_update(spec, theta, c, sched, 2) for c in clients[::-1]])
+    assert np.array_equal(batched, expected)
