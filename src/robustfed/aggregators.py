@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GradientSet, neighbor_order, neighborhood_blocks, pairwise_sq_distances
+from .geometry import GradientSet, distances_of, neighbor_order, neighborhood_blocks
 from .prodigy import ProdigyParams, TrustScores, prodigy_aggregate
 
 AGGREGATOR_KINDS = ("average", "median", "trimmed_mean", "geomed", "krum", "cclip", "prodigy")
@@ -67,8 +67,18 @@ def average(g: GradientSet) -> np.ndarray:
 
 
 def coordinate_median(g: GradientSet) -> np.ndarray:
-    """Per-coordinate median; even counts use the midpoint of the two middle values."""
-    return np.median(g.vectors, axis=0)
+    """Per-coordinate median; even counts use the midpoint of the two middle values.
+
+    One sort per column gives the values ``np.median`` gives, which also
+    averages the two middle values as (a + b) / 2, at a fraction of its cost.
+    Where +0.0 and -0.0 tie in the middle, the zero may carry the other sign,
+    since ``np.median`` partitions instead of sorting.
+    """
+    ordered = np.sort(g.vectors, axis=0)
+    mid = g.n_clients // 2
+    if g.n_clients % 2:
+        return ordered[mid].copy()
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def trimmed_mean(g: GradientSet, q: int) -> np.ndarray:
@@ -108,7 +118,7 @@ def krum(g: GradientSet, f: int) -> np.ndarray:
         raise ValueError("byzantine count must be nonnegative")
     if n < f + 3:
         raise ValueError(f"krum needs N >= f + 3, got N={n}, f={f}")
-    order = neighbor_order(pairwise_sq_distances(g))
+    order = neighbor_order(distances_of(g))
     scores = order.distances[:, : n - f - 2].sum(axis=1)
     return g.vectors[int(np.argmin(scores))].copy()
 
@@ -142,7 +152,7 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
         raise ValueError("byzantine count must be nonnegative")
     if n - f < 1:
         raise ValueError(f"mixing needs N - f >= 1, got N={n}, f={f}")
-    order = neighbor_order(pairwise_sq_distances(g))
+    order = neighbor_order(distances_of(g))
     mixed = np.empty_like(g.vectors)
     for rows, block in neighborhood_blocks(g, order, n - f):
         mixed[rows] = block.mean(axis=1)

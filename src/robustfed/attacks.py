@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import GradientSet
+from .geometry import DistanceMatrix, GradientSet, pairwise_sq_distances
 from .prodigy import DegenerateRoundError
 
 ATTACK_KINDS = ("none", "alie", "foe", "sign_flip", "label_flip")
@@ -88,12 +88,54 @@ def foe_candidates(eps: float) -> list[float]:
     return [(m / 10.0) * eps for m in range(1, 11)]
 
 
-def _mixed_set(honest: GradientSet, byz_ids: np.ndarray, byz_vector: np.ndarray) -> GradientSet:
-    """All-N gradient set in ascending client-id order, byzantines colluding."""
-    ids = np.concatenate([honest.client_ids, byz_ids])
-    vectors = np.vstack([honest.vectors, np.tile(byz_vector, (len(byz_ids), 1))])
-    order = np.argsort(ids, kind="stable")
-    return GradientSet(vectors[order], ids[order])
+class _CandidateSets:
+    """The all-N sets of one round's search, in ascending client-id order.
+
+    Candidates differ only in the f colluding rows, which all hold the same
+    vector v, so every candidate set shares one (N, d) buffer: the honest rows
+    are placed once and each candidate overwrites the byzantine rows. A set
+    is valid until the next candidate is built.
+
+    Distances are built only when a rule asks for them: the honest-honest
+    block once per round, then per candidate zeros between the byzantine rows
+    and one reduction over the honest rows of h - v. Every entry equals the
+    one ``pairwise_sq_distances`` computes on the same set: a difference and
+    its negation square to the same value, and each row reduction runs over
+    at least two rows, because a one-row einsum takes a different summation
+    path and can change the last bit. Hence the zero row ahead of h - v.
+    """
+
+    def __init__(self, honest: GradientSet, byz_ids: np.ndarray):
+        ids = np.concatenate([honest.client_ids, byz_ids])
+        order = np.argsort(ids, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(ids))
+        self.honest = honest
+        self.ids = ids[order]
+        self.honest_pos = position[: honest.n_clients]
+        self.byz_pos = position[honest.n_clients :]
+        self.vectors = np.empty((len(ids), honest.dim))
+        self.vectors[self.honest_pos] = honest.vectors
+        self.honest_block = None
+        self.diff = np.zeros((honest.n_clients + 1, honest.dim))
+
+    def __call__(self, byz_vector: np.ndarray) -> GradientSet:
+        self.vectors[self.byz_pos] = byz_vector
+        return GradientSet(self.vectors, self.ids, lambda: self.distances(byz_vector))
+
+    def distances(self, byz_vector: np.ndarray) -> DistanceMatrix:
+        if self.honest_block is None:
+            n = len(self.ids)
+            self.honest_block = np.zeros((n, n))
+            self.honest_block[np.ix_(self.honest_pos, self.honest_pos)] = (
+                pairwise_sq_distances(self.honest).entries
+            )
+        np.subtract(self.honest.vectors, byz_vector, out=self.diff[1:])
+        cross = np.einsum("ij,ij->i", self.diff, self.diff)[1:]
+        entries = self.honest_block.copy()
+        entries[np.ix_(self.byz_pos, self.honest_pos)] = cross
+        entries[np.ix_(self.honest_pos, self.byz_pos)] = cross[:, None]
+        return DistanceMatrix(entries)
 
 
 def _grid_search(
@@ -105,19 +147,29 @@ def _grid_search(
     reference: np.ndarray,
 ) -> np.ndarray:
     """Pick the candidate whose mix drags the defense output farthest from the
-    honest mean; ties keep the earlier (smaller) grid value."""
+    honest mean; ties keep the earlier (smaller) grid value.
+
+    Degenerate rounds and non-finite candidate vectors score -inf. A
+    non-finite choice, which only happens when every candidate scored -inf,
+    raises the mixed set's non-finite ValueError.
+    """
+    sets = _CandidateSets(honest, byz_ids)
     best_vec = None
     best_dev = -np.inf
     for cand in candidates:
         vec = make_vector(cand)
-        try:
-            agg = defense(_mixed_set(honest, byz_ids, vec))
-            deviation = float(np.linalg.norm(agg - reference))
-        except DegenerateRoundError:
-            deviation = -np.inf
+        deviation = -np.inf
+        if np.isfinite(vec).all():
+            try:
+                agg = defense(sets(vec))
+                deviation = float(np.linalg.norm(agg - reference))
+            except DegenerateRoundError:
+                pass
         if best_vec is None or deviation > best_dev:
             best_vec = vec
             best_dev = deviation
+    if not np.isfinite(best_vec).all():
+        sets(best_vec)  # raises the mixed set's non-finite ValueError
     return best_vec
 
 

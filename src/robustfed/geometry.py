@@ -8,8 +8,8 @@ runs in 64-bit floating point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,10 +21,17 @@ GATHER_BYTES = 1 << 20
 
 @dataclass
 class GradientSet:
-    """N client update vectors of dimension d, in client-id order."""
+    """N client update vectors of dimension d, in client-id order.
+
+    ``distances`` optionally supplies the set's pairwise squared distances,
+    which must equal ``pairwise_sq_distances`` of this set bit for bit; rules
+    read them through ``distances_of``. The attack search's candidate sets
+    supply them, so that rules without distances do not pay for them.
+    """
 
     vectors: np.ndarray
     client_ids: np.ndarray | None = None
+    distances: Callable[[], DistanceMatrix] | None = None
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -115,6 +122,11 @@ def pairwise_sq_distances(g: GradientSet) -> DistanceMatrix:
     return DistanceMatrix(out)
 
 
+def distances_of(g: GradientSet) -> DistanceMatrix:
+    """The distances ``g`` supplies, else ``pairwise_sq_distances(g)``."""
+    return g.distances() if g.distances is not None else pairwise_sq_distances(g)
+
+
 def neighbor_order(m: DistanceMatrix) -> NeighborOrder:
     """Sort each client's peers by ascending squared distance, ties by index."""
     masked = m.entries.copy()
@@ -157,15 +169,3 @@ def neighborhood_blocks(g: GradientSet, order: NeighborOrder, size: int):
     step = max(1, GATHER_BYTES // (size * g.dim * g.vectors.itemsize))
     for lo in range(0, n, step):
         yield slice(lo, lo + step), g.vectors[members[lo : lo + step]]
-
-
-def write_distance_csv(m: DistanceMatrix, client_ids, path) -> None:
-    """Debug dump: one row per client, full N columns, headers = client ids."""
-    ids = [int(c) for c in client_ids]
-    if len(ids) != m.n_clients:
-        raise ValueError("client_ids length must match matrix size")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ids)
-        for row in m.entries:
-            writer.writerow([repr(float(v)) for v in row])

@@ -16,9 +16,9 @@ import numpy as np
 from .geometry import (
     GradientSet,
     NeighborOrder,
+    distances_of,
     neighbor_order,
     neighborhood_blocks,
-    pairwise_sq_distances,
     vector_set_stats,
 )
 
@@ -122,7 +122,7 @@ def prodigy_aggregate(g: GradientSet, p: ProdigyParams) -> tuple[np.ndarray, Tru
     """
     if g.n_clients != p.n_clients:
         raise ValueError(f"got {g.n_clients} updates, params say N={p.n_clients}")
-    order = neighbor_order(pairwise_sq_distances(g))
+    order = neighbor_order(distances_of(g))
     s_p = proximity_scores(order, p)
     s_d = dissimilarity_scores(g, order, p)
     composite = s_p * s_d

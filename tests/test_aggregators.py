@@ -50,6 +50,29 @@ def test_median_examples():
     assert coordinate_median(two_d).tolist() == [1.0, 5.0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_median_equals_numpy_median(n, d, pool, seed, data):
+    """Odd and even N, ties drawn from a small pool that always holds +0.0,
+    -0.0 and random normals. The values equal np.median's; only where +0.0
+    and -0.0 tie at the middle may the sign of a zero differ, because
+    np.median partitions instead of sorting."""
+    pool = pool + [0.0, -0.0] + np.random.default_rng(seed).standard_normal(6).tolist()
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * d, max_size=n * d))
+    vectors = np.array([pool[i] for i in picks]).reshape(n, d)
+    got = coordinate_median(GradientSet(vectors))
+    want = np.median(vectors, axis=0)
+    assert np.array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert np.all(got[differ] == 0.0)
+
+
 def test_trimmed_mean_examples():
     assert trimmed_mean(GradientSet(SCALARS), 1).tolist() == [2.0]
     constant = GradientSet(np.tile(np.array([7.0]), (5, 1)))

@@ -160,3 +160,29 @@ def test_search_optimality_exhaustive(seed, kind):
     )
     chosen = deviation(crafted.vectors[0])
     assert all(chosen >= deviation(v) for v in grid)
+
+
+def test_non_finite_candidates_score_minus_inf():
+    # FoE at eps=100 against an honest mean of 1e307: only the first grid
+    # point, -1e308, is finite; the others overflow and must not abort
+    honest = GradientSet(np.array([[1e307], [1e307]]), np.array([1, 2]))
+    calls = []
+
+    def defense(gs: GradientSet) -> np.ndarray:
+        calls.append(gs.vectors.copy())
+        return average(gs)
+
+    with np.errstate(over="ignore"):
+        crafted = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, [0], defense)
+    assert crafted.vectors.tolist() == [[-1e308]]
+    assert len(calls) == 1
+
+
+def test_non_finite_choice_raises_the_mixed_set_error():
+    # every FoE grid point overflows, so the chosen first point is non-finite;
+    # the error names the lowest byzantine id, as the mixed set's check does
+    honest = GradientSet(np.array([[1.7e308]]), np.array([1]))
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="non-finite update component from client 0"
+    ):
+        craft_attack(AttackSpec(kind="foe", eps=100.0), honest, [2, 0], _avg_defense)

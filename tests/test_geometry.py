@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustfed.geometry import (
-    DistanceMatrix,
     GradientSet,
     neighbor_order,
     pairwise_sq_distances,
     vector_set_stats,
-    write_distance_csv,
 )
 from robustfed.oracles import ref_pairwise_sq, ref_sorted_neighbors
 
@@ -144,18 +142,3 @@ def test_spread_bounded_by_max_pairwise_distance(rows):
     bound = max(max(row) for row in max_sq)
     assert stats.spread**2 <= bound + 1e-9 * (1.0 + bound)
 
-
-def test_distance_csv_dump(tmp_path):
-    g = GradientSet(np.array([[0.0], [1.0], [2.0]]), client_ids=np.array([4, 5, 6]))
-    path = tmp_path / "dist.csv"
-    write_distance_csv(pairwise_sq_distances(g), g.client_ids, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "4,5,6"
-    assert len(lines) == 4
-    assert [float(v) for v in lines[1].split(",")] == [0.0, 1.0, 4.0]
-
-
-def test_distance_csv_id_mismatch(tmp_path):
-    m = DistanceMatrix(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        write_distance_csv(m, [1, 2, 3], tmp_path / "x.csv")

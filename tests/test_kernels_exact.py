@@ -1,7 +1,8 @@
 """The vectorized kernels against per-client loop references.
 
 The loop functions below are the earlier implementations of the same
-kernels: the geometry kernels, and the model gradient, client update and
+kernels: the geometry kernels, the attack search that built every candidate
+set and its distances afresh, and the model gradient, client update and
 round loop that ran one client at a time. The vectorized kernels keep every
 floating-point operation and its order, so results must be equal bit for
 bit, not within a tolerance; the tolerance-based checks against independent
@@ -16,9 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustfed import aggregators, prodigy
-from robustfed.aggregators import Aggregator, AggregatorSpec, AggregatorState, krum, nnm_mix
-from robustfed.attacks import craft_attack
+from robustfed import aggregators, geometry, prodigy
+from robustfed.aggregators import (
+    AGGREGATOR_KINDS,
+    Aggregator,
+    AggregatorSpec,
+    AggregatorState,
+    krum,
+    nnm_mix,
+)
+from robustfed.attacks import (
+    _CandidateSets,
+    _grid_search,
+    alie_candidates,
+    craft_attack,
+    foe_candidates,
+)
 from robustfed.config import TrainSchedule, config_from_dict, validate_config
 from robustfed.datasim import LabeledDataset
 from robustfed.engine import (
@@ -110,10 +124,10 @@ def loop_nnm_mix(g: GradientSet, f: int) -> GradientSet:
 def loop_kernels():
     """Route prodigy and the aggregators through the loop references."""
     stack = ExitStack()
+    stack.enter_context(
+        mock.patch.object(geometry, "pairwise_sq_distances", loop_pairwise_sq_distances)
+    )
     for module in (prodigy, aggregators):
-        stack.enter_context(
-            mock.patch.object(module, "pairwise_sq_distances", loop_pairwise_sq_distances)
-        )
         stack.enter_context(mock.patch.object(module, "neighbor_order", loop_neighbor_order))
     stack.enter_context(
         mock.patch.object(prodigy, "dissimilarity_scores", loop_dissimilarity_scores)
@@ -247,6 +261,161 @@ def test_batched_stats_equal_separate_calls(b, m, d, seed):
         mean, spread = loop_vector_set_stats(batch[i])
         assert np.array_equal(single.mean, mean)
         assert single.spread == spread
+
+
+# --- attack search: shared candidate sets against fresh mixed sets ----------
+
+
+def loop_mixed_set(honest: GradientSet, byz_ids, byz_vector) -> GradientSet:
+    ids = np.concatenate([honest.client_ids, byz_ids])
+    vectors = np.vstack([honest.vectors, np.tile(byz_vector, (len(byz_ids), 1))])
+    order = np.argsort(ids, kind="stable")
+    return GradientSet(vectors[order], ids[order])
+
+
+def loop_grid_search(candidates, make_vector, honest, byz_ids, defense, reference):
+    """One fresh mixed set per candidate, so every rule computes its own
+    distances; returns the choice and every candidate's deviation."""
+    best_vec = None
+    best_dev = -np.inf
+    deviations = []
+    for cand in candidates:
+        vec = make_vector(cand)
+        try:
+            agg = defense(loop_mixed_set(honest, byz_ids, vec))
+            deviation = float(np.linalg.norm(agg - reference))
+        except DegenerateRoundError:
+            deviation = -np.inf
+        deviations.append(deviation)
+        if best_vec is None or deviation > best_dev:
+            best_vec = vec
+            best_dev = deviation
+    return best_vec, np.array(deviations)
+
+
+SEARCH_DEFENSES = [
+    AggregatorSpec(kind, nnm_enabled=nnm) for nnm in (False, True) for kind in AGGREGATOR_KINDS
+]
+
+
+def search_candidates(honest: GradientSet) -> np.ndarray:
+    """The ALIE (z=1) and FoE (eps=0.1) grids plus a copy of an honest row."""
+    mean, std = honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
+    alie = [mean - zv * std for zv in alie_candidates(1.0)]
+    foe = [-ev * mean for ev in foe_candidates(0.1)]
+    return np.array(alie + foe + [honest.vectors[0]])
+
+
+def assert_search_exact(honest: GradientSet, byz_ids, candidates=None) -> dict:
+    """The same sets and distances per candidate, and the same choice and
+    deviation per candidate for every defense defined at this N and f;
+    returns each defense's deviations."""
+    byz_ids = np.asarray(byz_ids, dtype=np.int64)
+    if candidates is None:
+        candidates = search_candidates(honest)
+    n, f = honest.n_clients + len(byz_ids), len(byz_ids)
+    sets = _CandidateSets(honest, byz_ids)
+    for vec in candidates:
+        g = sets(vec)
+        fresh = loop_mixed_set(honest, byz_ids, vec)
+        assert np.array_equal(g.vectors, fresh.vectors)
+        assert np.array_equal(g.client_ids, fresh.client_ids)
+        assert np.array_equal(g.distances().entries, pairwise_sq_distances(fresh).entries)
+    reference = honest.vectors.mean(axis=0)
+    state = AggregatorState(0.5 * reference)
+    found = {}
+    for spec in SEARCH_DEFENSES:
+        try:
+            aggregator = Aggregator(spec, n, f)
+        except ValueError:
+            continue  # the rule is not defined at this N and f
+        deviations = []
+
+        def defense(gs, aggregator=aggregator, deviations=deviations):
+            try:
+                agg = aggregator(gs, state).vector
+            except DegenerateRoundError:
+                deviations.append(-np.inf)
+                raise
+            deviations.append(float(np.linalg.norm(agg - reference)))
+            return agg
+
+        args = (range(len(candidates)), candidates.__getitem__, honest, byz_ids)
+        chosen = _grid_search(*args, defense, reference)
+        expected, expected_devs = loop_grid_search(
+            *args, lambda gs, aggregator=aggregator: aggregator(gs, state).vector, reference
+        )
+        assert np.array_equal(chosen, expected), spec.label()
+        assert np.array_equal(np.array(deviations), expected_devs), spec.label()
+        found[spec.label()] = expected_devs
+    return found
+
+
+@st.composite
+def interleaved_rounds(draw):
+    """Honest rows with ties, byzantine ids scattered among the honest ids."""
+    vectors = draw(sets_with_duplicates(max_n=9, max_d=12))
+    f = draw(st.integers(1, 4))
+    ids = np.array(draw(st.permutations(range(len(vectors) + f))), dtype=np.int64)
+    return GradientSet(vectors, ids[f:]), ids[:f]
+
+
+@settings(max_examples=60, deadline=None)
+@given(interleaved_rounds())
+def test_search_matches_fresh_sets_on_interleaved_ids(round_):
+    assert_search_exact(*round_)
+
+
+@pytest.mark.parametrize("d", [1, 17, 300, 1994])
+@pytest.mark.parametrize(
+    "n, f",
+    [(3, 1), (5, 2), (2, 1), (4, 3), (10, 3)],
+    ids=["f1", "2f+1", "one-honest", "one-honest-f3", "grid"],
+)
+def test_search_matches_fresh_sets_at_boundaries(n, f, d):
+    """f = 1, N = 2f+1, N - f = 1 (one honest row) and the criterion-7 shape."""
+    rng = np.random.default_rng(n * 10_000 + f * 1000 + d)
+    ids = rng.permutation(n)
+    honest = GradientSet(rng.standard_normal((n - f, d)), ids[f:])
+    assert_search_exact(honest, ids[:f])
+
+
+@pytest.mark.parametrize("n, f", [(2, 1), (4, 3)])
+def test_search_matches_fresh_sets_with_one_honest_row_at_wide_d(n, f):
+    """At d=10 000 a one-row einsum sums in another order than a row of a
+    larger one, so the one honest distance row must not be reduced alone."""
+    rng = np.random.default_rng(n)
+    ids = rng.permutation(n)
+    honest = GradientSet(rng.standard_normal((1, 10_000)), ids[f:])
+    assert_search_exact(honest, ids[:f], rng.standard_normal((3, 10_000)))
+
+
+def test_search_matches_fresh_sets_on_duplicated_honest_rows():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, 40))
+    honest = GradientSet(rows[[0, 1, 0, 2, 1, 0, 2]], np.array([1, 2, 4, 5, 6, 8, 9]))
+    candidates = np.vstack([search_candidates(honest), rows])
+    assert_search_exact(honest, [0, 3, 7], candidates)
+
+
+def test_search_matches_fresh_sets_on_degenerate_prodigy_rounds():
+    """Identical integer honest rows: their mean is exact and their std zero,
+    so the ALIE candidates and the honest copy equal them, every score ties
+    and prodigy filters everyone; the FoE candidates do not."""
+    honest = GradientSet(np.tile(np.arange(25.0) - 12.0, (7, 1)), np.arange(3, 10))
+    found = assert_search_exact(honest, [0, 1, 2])
+    assert np.isneginf(found["prodigy"]).sum() == len(alie_candidates(1.0)) + 1
+    assert np.isfinite(found["prodigy"]).any()
+
+
+def test_search_matches_fresh_sets_at_wide_scale():
+    """N=100, d=10 000, f=20, byzantine ids among the honest ones."""
+    n, d, f = 100, 10_000, 20
+    rng = np.random.default_rng(11)
+    ids = rng.permutation(n)
+    honest = GradientSet(rng.standard_normal((n - f, d)), ids[f:])
+    mean, std = honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
+    assert_search_exact(honest, ids[:f], np.array([mean - std, honest.vectors[0]]))
 
 
 # --- client updates: one batched pass against the per-client loop ------------
