@@ -12,54 +12,29 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from robustfed.sweep import SweepSpec, run_sweep
-
-BASE = {
-    "n_clients": 10,
-    "n_byzantine": 3,
-    "eval_every": 10,
-    "model": {"kind": "mlp", "hidden": 64},
-    "data": {
-        "n_classes": 10,
-        "dim": 20,
-        "per_class": 200,
-        "separation": 4.0,
-        "test_per_class": 100,
-        "partition": "dirichlet",
-        "alpha": 0.1,
-    },
-    "schedule": {"rounds": 300, "local_iters": 1, "batch_size": 32},
-}
-
-DEFENSES = [
-    {"kind": "average"},
-    {"kind": "median", "nnm": True},
-    {"kind": "trimmed_mean", "nnm": True},
-    {"kind": "geomed", "nnm": True},
-    {"kind": "krum", "nnm": True},
-    {"kind": "cclip", "nnm": True},
-    {"kind": "prodigy"},
-]
-
-ATTACKS = [
-    {"kind": "none"},
-    {"kind": "alie", "z": 1.0},
-    {"kind": "foe", "eps": 0.1},
-    {"kind": "foe", "eps": 100.0},
-    {"kind": "label_flip"},
-    {"kind": "sign_flip"},
-]
+from robustfed.sweep import (
+    CRIT7_ATTACKS,
+    CRIT7_BASE,
+    CRIT7_DEFENSES,
+    CRIT7_SEEDS,
+    SweepSpec,
+    run_sweep,
+)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/qualitative_table", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel runs")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(CRIT7_SEEDS))
     args = parser.parse_args()
 
     spec = SweepSpec(
-        base=BASE, defenses=DEFENSES, attacks=ATTACKS, seeds=args.seeds, max_runs=200
+        base=CRIT7_BASE,
+        defenses=[spec for _, spec in CRIT7_DEFENSES],
+        attacks=[spec for _, spec in CRIT7_ATTACKS],
+        seeds=args.seeds,
+        max_runs=200,
     )
     rows = run_sweep(spec, Path(args.out), jobs=args.jobs)
     failed = [r for r in rows if r["status"] != "ok"]

@@ -7,7 +7,7 @@ nearest-neighbor-mixing pre-aggregation step that can prefix any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class AggregatorSpec:
     weiszfeld_rounds: int = 3
     clip_tau: float = 10.0
     clip_iters: int = 3
-    nnm_enabled: bool = False
+    nnm_enabled: bool = field(default=False, metadata={"json": "nnm"})
 
     def __post_init__(self):
         if self.kind not in AGGREGATOR_KINDS:

@@ -11,9 +11,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .datasim import PartitionSpec, generate_blobs, partition
+from .engine import client_shards
 from .runner import OUTPUT_DIR_ENV, execute_run
-from .seeding import stream_id
 from .sweep import parse_sweep, run_sweep
 from .verification import run_all_checks
 
@@ -72,14 +71,7 @@ def _cmd_verify(_args) -> int:
 def _cmd_partition_preview(args) -> int:
     cfg = parse_config(_load(args.config))
     data = cfg.data
-    train = generate_blobs(
-        data.n_classes, data.dim, data.per_class, data.separation, stream_id(cfg.seed, "train")
-    )
-    shards = partition(
-        train,
-        PartitionSpec(data.partition, cfg.n_clients, alpha=data.alpha, min_shard=data.min_shard),
-        stream_id(cfg.seed, "partition"),
-    )
+    shards = client_shards(cfg)
     print(f"partition={data.partition} alpha={data.alpha} clients={cfg.n_clients}")
     header = "client  size  " + " ".join(f"c{c:<4d}" for c in range(data.n_classes))
     print(header)

@@ -3,12 +3,21 @@
 Parsing is fail-closed: unknown keys are rejected and every violated
 constraint is reported with its JSON path, so nothing out of range ever
 reaches the training engine.
+
+Every section is parsed and echoed from its dataclass fields. A field's
+annotation is the JSON type of its key (``int``, ``float`` as a finite
+number, ``bool``, ``str``, a nested section, or one of those ``| None``), its
+default is the key's default, a field without a default is a required key,
+and ``metadata={"json": ...}`` names a key that differs from the field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .aggregators import Aggregator, AggregatorSpec
 from .attacks import AttackSpec
@@ -76,16 +85,21 @@ class TrainSchedule:
 class ExperimentConfig:
     """Everything one training run needs, seed included."""
 
-    n_clients: int = 10
-    n_byzantine: int = 0
-    model: ModelSpec | None = None
+    n_clients: int
+    n_byzantine: int
     data: DataConfig = field(default_factory=DataConfig)
+    model: ModelSpec | None = None  # after data: omitted model keys derive from it
     schedule: TrainSchedule = field(default_factory=TrainSchedule)
     attack: AttackSpec = field(default_factory=AttackSpec)
     defense: AggregatorSpec = field(default_factory=AggregatorSpec)
     seed: int = 0
     eval_every: int = 10
     output_path: str = ""
+
+
+def _model_defaults(data: DataConfig) -> dict:
+    """The model keys a config may omit: a softmax-linear model sized to ``data``."""
+    return {"kind": "softmax_linear", "input_dim": data.dim, "n_classes": data.n_classes}
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -105,9 +119,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("eval_every: must be at least 1")
 
     if cfg.model is None:
-        cfg.model = ModelSpec(
-            kind="softmax_linear", input_dim=cfg.data.dim, n_classes=cfg.data.n_classes
-        )
+        cfg.model = ModelSpec(**_model_defaults(cfg.data))
     if cfg.model.input_dim != cfg.data.dim:
         raise ConfigError(
             f"model.input_dim: {cfg.model.input_dim} does not match data.dim={cfg.data.dim}"
@@ -139,243 +151,112 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-_REQUIRED = object()
+@functools.cache
+def _schema(cls) -> tuple:
+    """(JSON key, field name, type, nullable, required, section) for each
+    field of ``cls``.
+
+    ``X | None`` gives type X with nullable set; section marks a nested
+    dataclass. Resolving the annotations costs far more than a parse, hence
+    the cache.
+    """
+    hints = typing.get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        kind = args[0] if args else hints[f.name]
+        schema.append((
+            f.metadata.get("json", f.name),
+            f.name,
+            kind,
+            bool(args),
+            f.default is MISSING and f.default_factory is MISSING,
+            is_dataclass(kind),
+        ))
+    return tuple(schema)
 
 
-class _Section:
-    """One JSON object plus its path; tracks key consumption for fail-closed parsing."""
+_TYPE_NAMES = {
+    int: "an integer", float: "a finite number", bool: "a boolean", str: "a string",
+    list: "a list", dict: "an object",
+}
 
-    def __init__(self, mapping: dict, path: str):
-        if not isinstance(mapping, dict):
-            raise ConfigError(f"{path}: expected an object")
-        self.mapping = mapping
-        self.path = path
-        self.seen: set[str] = set()
 
-    def _at(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def take(self, key: str, default=_REQUIRED):
-        self.seen.add(key)
-        if key in self.mapping:
-            return self.mapping[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"{self._at(key)}: required key missing")
-        return default
-
-    def take_int(self, key: str, default=_REQUIRED) -> int:
-        value = self.take(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self._at(key)}: expected an integer, got {value!r}")
+def check_value(kind: type, value, at: str, nullable: bool = False):
+    """``value`` as JSON type ``kind`` (ints coerced to float for a float
+    field), or a ConfigError naming the JSON path ``at``."""
+    if nullable and value is None:
+        return None
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # false for NaN, ±inf and ints beyond float range
+            return float(value)
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
-
-    def take_float(self, key: str, default=_REQUIRED) -> float:
-        value = self.take(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self._at(key)}: expected a number, got {value!r}")
-        return float(value)
-
-    def take_bool(self, key: str, default=_REQUIRED) -> bool:
-        value = self.take(key, default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{self._at(key)}: expected a boolean, got {value!r}")
-        return value
-
-    def take_str(self, key: str, default=_REQUIRED) -> str:
-        value = self.take(key, default)
-        if not isinstance(value, str):
-            raise ConfigError(f"{self._at(key)}: expected a string, got {value!r}")
-        return value
-
-    def child(self, key: str) -> "_Section | None":
-        value = self.take(key, None)
-        if value is None:
-            return None
-        return _Section(value, self._at(key))
-
-    def finish(self) -> None:
-        unknown = sorted(set(self.mapping) - self.seen)
-        if unknown:
-            where = self.path or "top level"
-            raise ConfigError(f"{where}: unknown keys {unknown}")
+    expected = _TYPE_NAMES[kind] + (" or null" if nullable else "")
+    raise ConfigError(f"{at}: expected {expected}, got {value!r}")
 
 
-def _build(path: str, ctor, **kwargs):
+def check_keys(mapping, path: str, keys) -> dict:
+    """``mapping`` if it is a JSON object holding only ``keys``, else a ConfigError."""
+    where = path or "top level"
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = sorted(set(mapping) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    return mapping
+
+
+def _parse(cls, mapping, path: str, given: dict | None = None):
+    """Build ``cls`` from the JSON object at ``path``, one key per field.
+
+    An omitted key, or a null section, keeps the field's default; ``given``
+    holds defaults the class itself cannot know. Constructor errors are
+    reported under ``path``.
+    """
+    schema = _schema(cls)
+    check_keys(mapping, path, [key for key, *_ in schema])
+    kwargs = dict(given or {})
+    for key, name, kind, nullable, required, section in schema:
+        at = f"{path}.{key}" if path else key
+        if key not in mapping or (mapping[key] is None and section):
+            if required and name not in kwargs:
+                raise ConfigError(f"{at}: required key missing")
+        elif kind is ModelSpec:
+            data = kwargs.get("data") or DataConfig()
+            kwargs[name] = _parse(kind, mapping[key], at, _model_defaults(data))
+        elif section:
+            kwargs[name] = _parse(kind, mapping[key], at)
+        else:
+            kwargs[name] = check_value(kind, mapping[key], at, nullable)
     try:
-        return ctor(**kwargs)
+        return cls(**kwargs)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _parse_model(section: _Section | None, data: DataConfig) -> ModelSpec | None:
-    if section is None:
-        return None
-    spec = _build(
-        section.path,
-        ModelSpec,
-        kind=section.take_str("kind", "softmax_linear"),
-        input_dim=section.take_int("input_dim", data.dim),
-        n_classes=section.take_int("n_classes", data.n_classes),
-        l2_reg=section.take_float("l2_reg", 1e-2),
-        hidden=section.take_int("hidden", 0),
-    )
-    section.finish()
-    return spec
-
-
-def _parse_data(section: _Section | None) -> DataConfig:
-    if section is None:
-        return DataConfig()
-    min_shard = section.take("min_shard", None)
-    if min_shard is not None and (isinstance(min_shard, bool) or not isinstance(min_shard, int)):
-        raise ConfigError(f"{section.path}.min_shard: expected an integer or null")
-    cfg = _build(
-        section.path,
-        DataConfig,
-        n_classes=section.take_int("n_classes", 10),
-        dim=section.take_int("dim", 20),
-        per_class=section.take_int("per_class", 200),
-        separation=section.take_float("separation", 4.0),
-        test_per_class=section.take_int("test_per_class", 50),
-        partition=section.take_str("partition", "iid"),
-        alpha=section.take_float("alpha", 0.1),
-        min_shard=min_shard,
-    )
-    section.finish()
-    return cfg
-
-
-def _parse_schedule(section: _Section | None) -> TrainSchedule:
-    if section is None:
-        return TrainSchedule()
-    sched = _build(
-        section.path,
-        TrainSchedule,
-        rounds=section.take_int("rounds", 300),
-        local_iters=section.take_int("local_iters", 1),
-        batch_size=section.take_int("batch_size", 16),
-        momentum=section.take_float("momentum", 0.0),
-        gamma_hi=section.take_float("gamma_hi", 0.05),
-        gamma_lo=section.take_float("gamma_lo", 0.005),
-        switch_frac=section.take_float("switch_frac", 2.0 / 3.0),
-    )
-    section.finish()
-    return sched
-
-
-def _parse_attack(section: _Section | None) -> AttackSpec:
-    if section is None:
-        return AttackSpec()
-    spec = _build(
-        section.path,
-        AttackSpec,
-        kind=section.take_str("kind", "none"),
-        z=section.take_float("z", 1.0),
-        eps=section.take_float("eps", 0.1),
-        search=section.take_bool("search", True),
-    )
-    section.finish()
-    return spec
-
-
-def _parse_defense(section: _Section | None) -> AggregatorSpec:
-    if section is None:
-        return AggregatorSpec()
-    trim_q = section.take("trim_q", None)
-    if trim_q is not None and (isinstance(trim_q, bool) or not isinstance(trim_q, int)):
-        raise ConfigError(f"{section.path}.trim_q: expected an integer or null")
-    spec = _build(
-        section.path,
-        AggregatorSpec,
-        kind=section.take_str("kind", "average"),
-        trim_q=trim_q,
-        weiszfeld_nu=section.take_float("weiszfeld_nu", 0.1),
-        weiszfeld_rounds=section.take_int("weiszfeld_rounds", 3),
-        clip_tau=section.take_float("clip_tau", 10.0),
-        clip_iters=section.take_int("clip_iters", 3),
-        nnm_enabled=section.take_bool("nnm", False),
-    )
-    section.finish()
-    return spec
-
-
 def config_from_dict(document: dict, path: str = "") -> ExperimentConfig:
-    root = _Section(document, path)
-    data = _parse_data(root.child("data"))
-    cfg = ExperimentConfig(
-        n_clients=root.take_int("n_clients"),
-        n_byzantine=root.take_int("n_byzantine"),
-        model=_parse_model(root.child("model"), data),
-        data=data,
-        schedule=_parse_schedule(root.child("schedule")),
-        attack=_parse_attack(root.child("attack")),
-        defense=_parse_defense(root.child("defense")),
-        seed=root.take_int("seed", 0),
-        eval_every=root.take_int("eval_every", 10),
-        output_path=root.take_str("output_path", ""),
-    )
-    root.finish()
-    return validate_config(cfg)
+    """Parse a plain-dict experiment document into a fully validated config."""
+    return validate_config(_parse(ExperimentConfig, document, path))
+
+
+def load_json(text: str):
+    """``json.loads``, with a syntax error raised as a ConfigError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"invalid JSON: {err}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a JSON document into a fully validated ExperimentConfig."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"invalid JSON: {err}") from None
-    if not isinstance(document, dict):
-        raise ConfigError("top level: expected an object")
-    return config_from_dict(document)
+    return config_from_dict(load_json(text))
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Round-trippable plain-dict form, used for echoing and sweep workers."""
+def config_to_dict(cfg) -> dict:
+    """Round-trippable plain-dict form of a config or one of its sections,
+    used for echoing and sweep workers."""
     return {
-        "n_clients": cfg.n_clients,
-        "n_byzantine": cfg.n_byzantine,
-        "seed": cfg.seed,
-        "eval_every": cfg.eval_every,
-        "output_path": cfg.output_path,
-        "model": {
-            "kind": cfg.model.kind,
-            "input_dim": cfg.model.input_dim,
-            "n_classes": cfg.model.n_classes,
-            "l2_reg": cfg.model.l2_reg,
-            "hidden": cfg.model.hidden,
-        },
-        "data": {
-            "n_classes": cfg.data.n_classes,
-            "dim": cfg.data.dim,
-            "per_class": cfg.data.per_class,
-            "separation": cfg.data.separation,
-            "test_per_class": cfg.data.test_per_class,
-            "partition": cfg.data.partition,
-            "alpha": cfg.data.alpha,
-            "min_shard": cfg.data.min_shard,
-        },
-        "schedule": {
-            "rounds": cfg.schedule.rounds,
-            "local_iters": cfg.schedule.local_iters,
-            "batch_size": cfg.schedule.batch_size,
-            "momentum": cfg.schedule.momentum,
-            "gamma_hi": cfg.schedule.gamma_hi,
-            "gamma_lo": cfg.schedule.gamma_lo,
-            "switch_frac": cfg.schedule.switch_frac,
-        },
-        "attack": {
-            "kind": cfg.attack.kind,
-            "z": cfg.attack.z,
-            "eps": cfg.attack.eps,
-            "search": cfg.attack.search,
-        },
-        "defense": {
-            "kind": cfg.defense.kind,
-            "trim_q": cfg.defense.trim_q,
-            "weiszfeld_nu": cfg.defense.weiszfeld_nu,
-            "weiszfeld_rounds": cfg.defense.weiszfeld_rounds,
-            "clip_tau": cfg.defense.clip_tau,
-            "clip_iters": cfg.defense.clip_iters,
-            "nnm": cfg.defense.nnm_enabled,
-        },
+        key: config_to_dict(getattr(cfg, name)) if section else getattr(cfg, name)
+        for key, name, *_, section in _schema(type(cfg))
     }

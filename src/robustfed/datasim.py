@@ -7,7 +7,6 @@ explicit seeds.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,29 +151,3 @@ def _partition_dirichlet(data: LabeledDataset, spec: PartitionSpec, seed: int) -
 def flip_labels(data: LabeledDataset) -> LabeledDataset:
     """Map label y to (C-1)-y, leaving features untouched. Self-inverse."""
     return LabeledDataset(data.features.copy(), data.n_classes - 1 - data.labels, data.n_classes)
-
-
-def save_csv(data: LabeledDataset, path) -> None:
-    """Feature columns f0..f{p-1} followed by a label column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(data.dim)] + ["label"])
-        for row, label in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
-def load_csv(path, n_classes: int | None = None) -> LabeledDataset:
-    """Inverse of save_csv; infers the class count from labels when omitted."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label":
-            raise ValueError("expected a trailing 'label' column")
-        rows = list(reader)
-    if not rows:
-        raise ValueError("dataset file has no samples")
-    features = np.array([[float(v) for v in row[:-1]] for row in rows])
-    labels = np.array([int(row[-1]) for row in rows])
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
-    return LabeledDataset(features, labels, n_classes)

@@ -150,6 +150,20 @@ def apply_momentum(client: ClientState, g: np.ndarray, beta: float) -> np.ndarra
     return client.momentum
 
 
+def client_shards(cfg: ExperimentConfig) -> list[LabeledDataset]:
+    """Generate the training data and cut it into one shard per client id,
+    before any label flip."""
+    data = cfg.data
+    train = generate_blobs(
+        data.n_classes, data.dim, data.per_class, data.separation, stream_id(cfg.seed, "train")
+    )
+    return partition(
+        train,
+        PartitionSpec(data.partition, cfg.n_clients, alpha=data.alpha, min_shard=data.min_shard),
+        stream_id(cfg.seed, "partition"),
+    )
+
+
 def build_clients(cfg: ExperimentConfig) -> tuple[list[ClientState], LabeledDataset]:
     """Generate data, cut shards, and assign roles; returns clients + test set.
 
@@ -157,17 +171,10 @@ def build_clients(cfg: ExperimentConfig) -> tuple[list[ClientState], LabeledData
     their shard flipped here, once, so their local updates are poisoned at
     the source.
     """
+    shards = client_shards(cfg)
     data = cfg.data
-    train = generate_blobs(
-        data.n_classes, data.dim, data.per_class, data.separation, stream_id(cfg.seed, "train")
-    )
     test = generate_blobs(
         data.n_classes, data.dim, data.test_per_class, data.separation, stream_id(cfg.seed, "test")
-    )
-    shards = partition(
-        train,
-        PartitionSpec(data.partition, cfg.n_clients, alpha=data.alpha, min_shard=data.min_shard),
-        stream_id(cfg.seed, "partition"),
     )
     dim = cfg.model.param_dim
     clients = []

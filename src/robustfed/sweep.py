@@ -9,7 +9,9 @@ worst-case-across-attacks column per defense.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,7 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _Section, config_from_dict, config_to_dict
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    check_keys,
+    check_value,
+    config_from_dict,
+    config_to_dict,
+    load_json,
+)
 from .runner import execute_run
 
 RUNS_COLUMNS = (
@@ -34,6 +44,53 @@ RUNS_COLUMNS = (
 )
 
 DEFAULT_MAX_RUNS = 500
+# Each sweep axis and the experiment key it sets, outermost axis first.
+AXES = {
+    "n_values": "n_clients",
+    "f_values": "n_byzantine",
+    "defenses": "defense",
+    "attacks": "attack",
+    "seeds": "seed",
+}
+
+# The criterion-7 grid: each defense against each attack on strongly
+# label-skewed blobs, over three seeds. tests/test_acceptance.py and
+# scripts/qualitative_table.py run it; perfbench/workloads.py keeps its own
+# frozen copy, which tests/test_runner_sweep.py holds equal to this one.
+CRIT7_BASE = {
+    "n_clients": 10,
+    "n_byzantine": 3,
+    "eval_every": 10,
+    "model": {"kind": "mlp", "hidden": 64},
+    "data": {
+        "n_classes": 10,
+        "dim": 20,
+        "per_class": 200,
+        "separation": 4.0,
+        "test_per_class": 100,
+        "partition": "dirichlet",
+        "alpha": 0.1,
+    },
+    "schedule": {"rounds": 300, "local_iters": 1, "batch_size": 32},
+}
+CRIT7_DEFENSES = (
+    ("no_defense", {"kind": "average"}),
+    ("nnm+median", {"kind": "median", "nnm": True}),
+    ("nnm+trimmed_mean", {"kind": "trimmed_mean", "nnm": True}),
+    ("nnm+geomed", {"kind": "geomed", "nnm": True}),
+    ("nnm+krum", {"kind": "krum", "nnm": True}),
+    ("nnm+cclip", {"kind": "cclip", "nnm": True}),
+    ("prodigy", {"kind": "prodigy"}),
+)
+CRIT7_ATTACKS = (
+    ("none", {"kind": "none"}),
+    ("alie", {"kind": "alie", "z": 1.0}),
+    ("foe_0.1", {"kind": "foe", "eps": 0.1}),
+    ("foe_100", {"kind": "foe", "eps": 100.0}),
+    ("label_flip", {"kind": "label_flip"}),
+    ("sign_flip", {"kind": "sign_flip"}),
+)
+CRIT7_SEEDS = (1, 2, 3)
 
 
 @dataclass
@@ -50,66 +107,34 @@ class SweepSpec:
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"invalid JSON: {err}") from None
-    if not isinstance(document, dict):
-        raise ConfigError("top level: expected an object")
-    root = _Section(document, "")
-    base = root.take("base")
-    if not isinstance(base, dict):
-        raise ConfigError("base: expected an object")
-    axes_section = root.child("axes")
-    spec = SweepSpec(base=base, max_runs=root.take_int("max_runs", DEFAULT_MAX_RUNS))
-    if axes_section is not None:
-        spec.defenses = axes_section.take("defenses", [])
-        spec.attacks = axes_section.take("attacks", [])
-        spec.seeds = axes_section.take("seeds", [])
-        spec.f_values = axes_section.take("f_values", [])
-        spec.n_values = axes_section.take("n_values", [])
-        axes_section.finish()
-    root.finish()
-    for name in ("defenses", "attacks", "seeds", "f_values", "n_values"):
-        if not isinstance(getattr(spec, name), list):
-            raise ConfigError(f"axes.{name}: expected a list")
-    return spec
+    document = check_keys(load_json(text), "", ("base", "axes", "max_runs"))
+    if "base" not in document:
+        raise ConfigError("base: required key missing")
+    axes = document.get("axes")
+    axes = {} if axes is None else check_keys(axes, "axes", AXES)
+    return SweepSpec(
+        base=check_value(dict, document["base"], "base"),
+        max_runs=check_value(int, document.get("max_runs", DEFAULT_MAX_RUNS), "max_runs"),
+        **{name: check_value(list, axes.get(name, []), f"axes.{name}") for name in AXES},
+    )
 
 
 def expand_grid(spec: SweepSpec, sweep_dir: Path) -> list[ExperimentConfig]:
     """Materialize one validated config per grid point, each with its own
     output directory under the sweep root."""
-    defenses = spec.defenses or [None]
-    attacks = spec.attacks or [None]
-    seeds = spec.seeds or [None]
-    f_values = spec.f_values or [None]
-    n_values = spec.n_values or [None]
-
-    total = len(defenses) * len(attacks) * len(seeds) * len(f_values) * len(n_values)
+    axes = [getattr(spec, axis) or [None] for axis in AXES]
+    total = math.prod(len(values) for values in axes)
     if total > spec.max_runs:
         raise ConfigError(f"grid of {total} runs exceeds max_runs={spec.max_runs}")
 
     configs = []
-    index = 0
-    for n in n_values:
-        for f in f_values:
-            for defense in defenses:
-                for attack in attacks:
-                    for seed in seeds:
-                        document = json.loads(json.dumps(spec.base))  # deep copy
-                        if n is not None:
-                            document["n_clients"] = n
-                        if f is not None:
-                            document["n_byzantine"] = f
-                        if defense is not None:
-                            document["defense"] = defense
-                        if attack is not None:
-                            document["attack"] = attack
-                        if seed is not None:
-                            document["seed"] = seed
-                        document["output_path"] = str(sweep_dir / "points" / f"point{index:04d}")
-                        configs.append(config_from_dict(document))
-                        index += 1
+    for index, point in enumerate(itertools.product(*axes)):
+        document = json.loads(json.dumps(spec.base))  # deep copy
+        for key, value in zip(AXES.values(), point):
+            if value is not None:
+                document[key] = value
+        document["output_path"] = str(sweep_dir / "points" / f"point{index:04d}")
+        configs.append(config_from_dict(document))
     return configs
 
 

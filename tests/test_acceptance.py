@@ -12,6 +12,10 @@ import pytest
 
 from robustfed.config import config_from_dict
 from robustfed.engine import run_training
+from robustfed.sweep import CRIT7_ATTACKS as ATTACKS
+from robustfed.sweep import CRIT7_BASE
+from robustfed.sweep import CRIT7_DEFENSES as DEFENSES
+from robustfed.sweep import CRIT7_SEEDS as SEEDS
 from robustfed.verification import (
     check_attack_search_optimality,
     check_baseline_oracle_equivalence,
@@ -86,48 +90,8 @@ def test_criterion_6_attack_search_optimality():
 
 # --- criterion 7: qualitative table reproduction at desk scale -----------------
 
-DEFENSES = (
-    ("no_defense", {"kind": "average"}),
-    ("nnm+median", {"kind": "median", "nnm": True}),
-    ("nnm+trimmed_mean", {"kind": "trimmed_mean", "nnm": True}),
-    ("nnm+geomed", {"kind": "geomed", "nnm": True}),
-    ("nnm+krum", {"kind": "krum", "nnm": True}),
-    ("nnm+cclip", {"kind": "cclip", "nnm": True}),
-    ("prodigy", {"kind": "prodigy"}),
-)
-
-ATTACKS = (
-    ("none", {"kind": "none"}),
-    ("alie", {"kind": "alie", "z": 1.0}),
-    ("foe_0.1", {"kind": "foe", "eps": 0.1}),
-    ("foe_100", {"kind": "foe", "eps": 100.0}),
-    ("label_flip", {"kind": "label_flip"}),
-    ("sign_flip", {"kind": "sign_flip"}),
-)
-
-SEEDS = (1, 2, 3)
-
-
 def table_config(defense: dict, attack: dict, seed: int) -> dict:
-    return {
-        "n_clients": 10,
-        "n_byzantine": 3,
-        "seed": seed,
-        "eval_every": 10,
-        "model": {"kind": "mlp", "hidden": 64},
-        "data": {
-            "n_classes": 10,
-            "dim": 20,
-            "per_class": 200,
-            "separation": 4.0,
-            "test_per_class": 100,
-            "partition": "dirichlet",
-            "alpha": 0.1,
-        },
-        "schedule": {"rounds": 300, "local_iters": 1, "batch_size": 32},
-        "attack": attack,
-        "defense": defense,
-    }
+    return {**CRIT7_BASE, "seed": seed, "attack": attack, "defense": defense}
 
 
 @pytest.fixture(scope="module")

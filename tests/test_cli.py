@@ -70,6 +70,19 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_non_finite_config_number_exit_code(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        {
+            "output_path": str(tmp_path / "out"),
+            "schedule": {"rounds": 5, "batch_size": 8, "gamma_hi": float("nan")},
+        },
+    )
+    assert "NaN" in path.read_text()
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "schedule.gamma_hi: expected a finite number" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     ok = [CheckResult("alpha", True, "fine", 0.1), CheckResult("beta", True, "fine", 0.2)]
     monkeypatch.setattr(cli, "run_all_checks", lambda: ok)

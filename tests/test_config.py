@@ -105,3 +105,23 @@ def test_roundtrip_through_dict():
     assert again.defense.nnm_enabled and again.defense.kind == "geomed"
     assert again.attack.search is False
     assert again.model.hidden == 16
+
+
+@pytest.mark.parametrize(
+    "section, key, literal, siblings",
+    [
+        ("schedule", "gamma_hi", "NaN", ""),
+        ("schedule", "momentum", "-Infinity", ""),
+        ("attack", "z", "NaN", '"kind": "alie", '),
+        ("attack", "eps", "Infinity", '"kind": "foe", '),
+        ("defense", "weiszfeld_nu", "NaN", '"kind": "geomed", '),
+        ("data", "alpha", "NaN", '"partition": "dirichlet", '),
+        ("model", "l2_reg", "Infinity", ""),
+        ("data", "separation", "1e400", ""),  # overflows to inf when parsed
+        pytest.param("data", "separation", "1" + "0" * 400, "", id="integer-beyond-float-range"),
+    ],
+)
+def test_non_finite_numbers_rejected_with_path(section, key, literal, siblings):
+    doc = f'{{"n_clients": 10, "n_byzantine": 3, "{section}": {{{siblings}"{key}": {literal}}}}}'
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a finite number"):
+        parse_config(doc)

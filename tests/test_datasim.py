@@ -8,9 +8,7 @@ from robustfed.datasim import (
     PartitionSpec,
     flip_labels,
     generate_blobs,
-    load_csv,
     partition,
-    save_csv,
 )
 from robustfed.oracles import ref_nearest_centroid_accuracy
 
@@ -148,22 +146,3 @@ def test_flip_is_involution(n_classes, seed):
     twice = flip_labels(flip_labels(data))
     assert np.array_equal(twice.labels, data.labels)
     assert np.array_equal(twice.features, data.features)
-
-
-def test_csv_roundtrip(tmp_path):
-    data = generate_blobs(3, 4, 5, 2.0, seed=23)
-    path = tmp_path / "data.csv"
-    save_csv(data, path)
-    loaded = load_csv(path)
-    assert loaded.n_classes == 3
-    assert np.array_equal(loaded.labels, data.labels)
-    assert np.array_equal(loaded.features, data.features)
-    header = path.read_text().splitlines()[0]
-    assert header == "f0,f1,f2,f3,label"
-
-
-def test_csv_load_rejects_missing_label_column(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        load_csv(path)

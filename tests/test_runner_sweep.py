@@ -1,13 +1,25 @@
 import csv
+import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from robustfed.config import ConfigError, config_from_dict
 from robustfed.runner import execute_run
-from robustfed.sweep import SweepSpec, build_summary, expand_grid, parse_sweep, run_sweep
+from robustfed.sweep import (
+    CRIT7_ATTACKS,
+    CRIT7_BASE,
+    CRIT7_DEFENSES,
+    CRIT7_SEEDS,
+    SweepSpec,
+    build_summary,
+    expand_grid,
+    parse_sweep,
+    run_sweep,
+)
 
 BASE = {
     "n_clients": 6,
@@ -179,6 +191,24 @@ def test_parse_sweep_rejects_unknown_axes():
     assert spec.max_runs == 9
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "invalid JSON"),
+        ("[]", "top level: expected an object"),
+        ('{"base": {}, "extra": 1}', "top level: unknown keys"),
+        ('{"axes": {}}', "base: required key missing"),
+        ('{"base": [1]}', "base: expected an object"),
+        ('{"base": {}, "axes": [1]}', "axes: expected an object"),
+        ('{"base": {}, "axes": {"seeds": 3}}', "axes.seeds: expected a list"),
+        ('{"base": {}, "max_runs": true}', "max_runs: expected an integer"),
+    ],
+)
+def test_parse_sweep_errors_name_their_path(text, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        parse_sweep(text)
+
+
 def test_expand_grid_applies_axes(tmp_path):
     spec = sweep_spec(n_values=[6], f_values=[1, 2])
     configs = expand_grid(spec, tmp_path)
@@ -186,3 +216,14 @@ def test_expand_grid_applies_axes(tmp_path):
     assert {c.n_byzantine for c in configs} == {1, 2}
     assert all(c.output_path for c in configs)
     assert len({c.output_path for c in configs}) == len(configs)
+
+
+def test_benchmark_grid_copy_matches_criterion_7(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.CRIT7_BASE == CRIT7_BASE
+    assert workloads.DEFENSES == CRIT7_DEFENSES
+    grid_attacks = [cell for cells in workloads.GRID_ATTACKS.values() for cell in cells]
+    assert sorted(name for name, _ in grid_attacks) == sorted(name for name, _ in CRIT7_ATTACKS)
+    assert dict(grid_attacks) == dict(CRIT7_ATTACKS)
+    assert workloads.CONFIG_SEEDS == CRIT7_SEEDS
