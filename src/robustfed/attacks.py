@@ -118,6 +118,8 @@ class _CandidateSets:
         self.vectors[self.honest_pos] = honest.vectors
         self.honest_block = None
         self.diff = np.zeros((honest.n_clients + 1, honest.dim))
+        self.cross_rows = np.ix_(self.byz_pos, self.honest_pos)
+        self.cross_cols = np.ix_(self.honest_pos, self.byz_pos)
 
     def __call__(self, byz_vector: np.ndarray) -> GradientSet:
         self.vectors[self.byz_pos] = byz_vector
@@ -133,8 +135,8 @@ class _CandidateSets:
         np.subtract(self.honest.vectors, byz_vector, out=self.diff[1:])
         cross = np.einsum("ij,ij->i", self.diff, self.diff)[1:]
         entries = self.honest_block.copy()
-        entries[np.ix_(self.byz_pos, self.honest_pos)] = cross
-        entries[np.ix_(self.honest_pos, self.byz_pos)] = cross[:, None]
+        entries[self.cross_rows] = cross
+        entries[self.cross_cols] = cross[:, None]
         return DistanceMatrix(entries)
 
 

@@ -1,8 +1,9 @@
 """Vector-set geometry shared by all aggregation rules.
 
 Pairwise squared Euclidean distances, per-client neighbor orderings,
-mean/spread statistics of vector sets, and blocked gathers of each client's
-nearest neighborhood. Everything here is a pure function of its inputs and
+mean/spread statistics of vector sets, blocked gathers of each client's
+nearest neighborhood, and the copy groups whose neighborhood results wide
+sets compute once. Everything here is a pure function of its inputs and
 runs in 64-bit floating point.
 """
 
@@ -16,6 +17,15 @@ import numpy as np
 # Byte cap on one neighborhood gather. It holds every N=10 grid neighborhood
 # in one or two blocks. At N=100, d=10 000 a 16 MiB cap was slower and
 # raised peak memory by 25 MB.
+#
+# It is also the size above which a set with d > 1 is wide (``wide_set``):
+# its neighborhood kernels mix in place and compute copy groups once. Below
+# it each path wins a workload: at N=10, d=1994 the wide path made the
+# omniscient grid 5 % faster and the local grid's aggregator calls 7 %
+# slower, because without nnm_mix's gathers glibc trims and regrows the heap
+# around prodigy's (N, f, d) gathers (2-CPU Xeon, BENCH_8.json
+# ``path_choice``). d = 1 is never wide: numpy sums a contiguous member axis
+# pairwise, an order that in-place adds cannot reproduce.
 GATHER_BYTES = 1 << 20
 
 
@@ -111,14 +121,30 @@ def pairwise_sq_distances(g: GradientSet) -> DistanceMatrix:
     point, so both differences square to the same value. Row k reduces over
     ``vectors[k:]``, which keeps the zero self row: a one-row einsum takes a
     different summation path and can change the last bit of a distance.
+
+    On a wide set, a row equal to an earlier row takes that row's entries
+    instead of its own sweep. They are the entries the sweep would give:
+    the same differences, or their negations, squared and reduced in sweeps
+    of two or more rows; a one-row sweep holds only the zero self distance.
+    A zero distance only proposes a copy, since a tiny difference squares
+    to 0.
     """
     n = g.n_clients
     out = np.empty((n, n), dtype=np.float64)
     diff = np.empty_like(g.vectors)
+    wide = wide_set(g)
+    source = list(range(n))  # a copy's earlier original, else the row itself
     for k in range(n):
+        if source[k] != k:
+            out[k, k:] = out[k:, k] = out[source[k], k:]
+            continue
         rows = diff[: n - k]
         np.subtract(g.vectors[k:], g.vectors[k], out=rows)
         out[k, k:] = out[k:, k] = np.einsum("ij,ij->i", rows, rows)
+        if wide:
+            later = k + 1 + np.flatnonzero(out[k, k + 1 :] == 0.0)
+            for j in later[(g.vectors[later] == g.vectors[k]).all(axis=1)].tolist():
+                source[j] = k
     return DistanceMatrix(out)
 
 
@@ -151,21 +177,53 @@ def vector_set_stats(subset: np.ndarray) -> VectorSetStats:
     return VectorSetStats(mean=mean, spread=float(spread) if arr.ndim == 2 else spread)
 
 
-def neighborhood_blocks(g: GradientSet, order: NeighborOrder, size: int):
-    """Each client's self-inclusive nearest neighborhood of ``size`` members.
+def wide_set(g: GradientSet) -> bool:
+    """Whether the neighborhood kernels take the wide path on ``g``: d > 1
+    and more than GATHER_BYTES of vectors (see GATHER_BYTES)."""
+    return g.dim > 1 and g.vectors.nbytes > GATHER_BYTES
+
+
+def copy_sources(g: GradientSet, order: NeighborOrder) -> np.ndarray:
+    """Per client, the lowest-index client whose neighborhood results it takes.
+
+    A copy group shares when its rows are equal and its zero-distance peers
+    are exactly its members. Then each member ranks itself, the other members
+    by index, and the remaining clients in one order, so every member's
+    neighborhood adds the same values in the same order. A zero distance
+    alone proposes a copy but does not confirm it: a tiny difference squares
+    to 0 by underflow. And a non-copy at distance 0 whose index lies between
+    two copies takes different ranks in their neighborhoods, so such a group
+    is computed row by row. Rows equal up to the sign of a zero count as
+    copies: no neighborhood kernel's result depends on that sign.
+    """
+    n = g.n_clients
+    source = np.arange(n)
+    zeros = (order.distances == 0.0).sum(axis=1)
+    for k in np.flatnonzero(zeros):
+        if source[k] == k:
+            peers = order.indices[k, : zeros[k]]
+            later = peers[peers > k]
+            copies = later[(g.vectors[later] == g.vectors[k]).all(axis=1)]
+            if len(copies) == zeros[k]:
+                source[copies] = k
+    return source
+
+
+def neighborhood_blocks(g: GradientSet, order: NeighborOrder, size: int, clients: np.ndarray):
+    """The self-inclusive nearest neighborhoods of ``size`` members of ``clients``.
 
     Yields ``(rows, block)`` where ``block[i]`` holds the vectors of client
-    ``rows.start + i`` and its ``size - 1`` nearest peers, in rank order, as a
+    ``rows[i]`` and its ``size - 1`` nearest peers, in rank order, as a
     ``(B, size, d)`` gather. B is chosen so that one block stays within
     GATHER_BYTES; at N=100, d=10 000 that is one client per block.
 
     A reduction over the member axis of a block sums each neighborhood in
     the same order as the same reduction on that neighborhood alone: row by
     row, or pairwise when d = 1 makes the member axis contiguous. Adding
-    neighbors rank by rank into one (N, d) array would match only the first.
+    neighbors rank by rank into one row matches only the first, which is why
+    a wide set (``wide_set``) may mix in place and d = 1 never counts as wide.
     """
-    n = g.n_clients
-    members = np.column_stack((np.arange(n), order.indices[:, : size - 1]))
+    members = np.column_stack((clients, order.indices[clients, : size - 1]))
     step = max(1, GATHER_BYTES // (size * g.dim * g.vectors.itemsize))
-    for lo in range(0, n, step):
-        yield slice(lo, lo + step), g.vectors[members[lo : lo + step]]
+    for lo in range(0, len(clients), step):
+        yield clients[lo : lo + step], g.vectors[members[lo : lo + step]]

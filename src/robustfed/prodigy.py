@@ -16,10 +16,12 @@ import numpy as np
 from .geometry import (
     GradientSet,
     NeighborOrder,
+    copy_sources,
     distances_of,
     neighbor_order,
     neighborhood_blocks,
     vector_set_stats,
+    wide_set,
 )
 
 
@@ -99,18 +101,23 @@ def dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams)
     The neighborhood is self-inclusive: the client plus its f-1 nearest peers.
     For f=1 the neighborhood is the client alone and the ratio degenerates to
     zero everywhere, so the score is defined as 1 (pure proximity filtering).
+
+    On a wide set (``wide_set``) a copy group that may share
+    (``copy_sources``) is scored once.
     """
     _check_order(order, p)
     n, f = p.n_clients, p.n_byzantine
     if f == 1:
         return np.ones(n)
+    source = copy_sources(g, order) if wide_set(g) else np.arange(n)
+    scored = np.flatnonzero(source == np.arange(n))
     scores = np.empty(n)
-    for rows, block in neighborhood_blocks(g, order, f):
+    for rows, block in neighborhood_blocks(g, order, f, scored):
         stats = vector_set_stats(block)
         # One BLAS norm per mean row: a batched norm sums in another order.
         norms = np.array([np.linalg.norm(mean) for mean in stats.mean])
         scores[rows] = stats.spread / (norms + p.epsilon_guard)
-    return scores
+    return scores[source]
 
 
 def prodigy_aggregate(g: GradientSet, p: ProdigyParams) -> tuple[np.ndarray, TrustScores]:

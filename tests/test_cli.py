@@ -83,6 +83,17 @@ def test_non_finite_config_number_exit_code(tmp_path, capsys):
     assert "schedule.gamma_hi: expected a finite number" in capsys.readouterr().err
 
 
+def test_negative_trim_count_exit_code(tmp_path, capsys):
+    # a config error at parse time, not a runtime error at round 0
+    path = write_config(
+        tmp_path,
+        {"output_path": str(tmp_path / "out"), "defense": {"kind": "trimmed_mean", "trim_q": -1}},
+    )
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     ok = [CheckResult("alpha", True, "fine", 0.1), CheckResult("beta", True, "fine", 0.2)]
     monkeypatch.setattr(cli, "run_all_checks", lambda: ok)

@@ -49,6 +49,12 @@ def test_trimmed_mean_overtrimming_rejected():
         parse_config(doc)
 
 
+def test_negative_trim_count_rejected_with_path():
+    doc = '{"n_clients": 10, "n_byzantine": 3, "defense": {"kind": "trimmed_mean", "trim_q": -1}}'
+    with pytest.raises(ConfigError, match="defense: trim_q must be nonnegative"):
+        parse_config(doc)
+
+
 def test_attack_without_byzantines_rejected():
     with pytest.raises(ConfigError, match="n_byzantine=0"):
         parse_config('{"n_clients": 10, "n_byzantine": 0, "attack": {"kind": "alie"}}')

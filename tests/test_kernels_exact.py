@@ -145,27 +145,38 @@ def prodigy_outcome(g, p):
     return vector, parts, trust.threshold
 
 
+def same_bits(got, want) -> bool:
+    """Equal shape and bits: unlike ``np.array_equal``, +0.0 and -0.0 differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def wide_path():
+    """Every set with d > 1 takes the wide path inside this context."""
+    return mock.patch.object(geometry, "GATHER_BYTES", 0)
+
+
 def assert_kernels_exact(vectors: np.ndarray) -> None:
     """Every kernel and every rule built on them, for each admissible f."""
     g = GradientSet(vectors)
     n = g.n_clients
 
     entries = pairwise_sq_distances(g).entries
-    assert np.array_equal(entries, loop_pairwise_sq_distances(g).entries)
+    assert same_bits(entries, loop_pairwise_sq_distances(g).entries)
     order = neighbor_order(DistanceMatrix(entries))
     expected = loop_neighbor_order(DistanceMatrix(entries))
     assert np.array_equal(order.indices, expected.indices)
-    assert np.array_equal(order.distances, expected.distances)
+    assert same_bits(order.distances, expected.distances)
 
     for f in range(n):
-        assert np.array_equal(nnm_mix(g, f).vectors, loop_nnm_mix(g, f).vectors)
+        assert same_bits(nnm_mix(g, f).vectors, loop_nnm_mix(g, f).vectors)
     for f in range(n - 2):
         with loop_kernels():
             reference = krum(g, f)
-        assert np.array_equal(krum(g, f), reference)
+        assert same_bits(krum(g, f), reference)
     for f in range(1, (n + 1) // 2):
         p = ProdigyParams(n, f)
-        assert np.array_equal(
+        assert same_bits(
             dissimilarity_scores(g, order, p), loop_dissimilarity_scores(g, order, p)
         )
         with loop_kernels():
@@ -173,10 +184,18 @@ def assert_kernels_exact(vectors: np.ndarray) -> None:
         vector, parts, threshold = prodigy_outcome(g, p)
         assert (vector is None) == (ref_vector is None)
         if vector is not None:
-            assert np.array_equal(vector, ref_vector)
+            assert same_bits(vector, ref_vector)
         for got, want in zip(parts, ref_parts):
-            assert np.array_equal(got, want)
+            assert same_bits(got, want)
         assert threshold == ref_threshold
+
+
+def assert_both_paths_exact(vectors: np.ndarray) -> None:
+    """``assert_kernels_exact`` on the path the set's size picks, then on the
+    wide path."""
+    assert_kernels_exact(vectors)
+    with wide_path():
+        assert_kernels_exact(vectors)
 
 
 @st.composite
@@ -195,15 +214,15 @@ def sets_with_duplicates(draw, max_n=12, max_d=40):
 @settings(max_examples=150, deadline=None)
 @given(sets_with_duplicates())
 def test_kernels_match_loops_on_tied_sets(vectors):
-    assert_kernels_exact(vectors)
+    assert_both_paths_exact(vectors)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernels_match_loops_on_two_and_three_clients(n):
     # The last upper-triangle rows hold one or two vectors.
     rng = np.random.default_rng(n)
-    assert_kernels_exact(rng.standard_normal((n, 1994)))
-    assert_kernels_exact(np.tile(rng.standard_normal(7), (n, 1)))
+    assert_both_paths_exact(rng.standard_normal((n, 1994)))
+    assert_both_paths_exact(np.tile(rng.standard_normal(7), (n, 1)))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -213,7 +232,78 @@ def test_kernels_match_loops_on_random_sets(seed):
     n = int(rng.integers(5, 42))
     d = int(rng.choice([1, 17, 300, 1994]))
     pool = rng.standard_normal((int(rng.integers(n // 2, n + 1)), d)) * rng.uniform(0.1, 10.0)
-    assert_kernels_exact(pool[rng.integers(0, len(pool), size=n)])
+    assert_both_paths_exact(pool[rng.integers(0, len(pool), size=n)])
+
+
+# --- the wide path: rows that look like copies, and d = 1 ---------------------
+
+
+def test_wide_path_on_rows_that_differ_in_the_sign_of_a_zero():
+    """Rows that differ only in the sign of a zero are equal and share their
+    results. numpy's sums start from +0.0, so even a one-member mean
+    (f = N-1) of a -0.0 reads +0.0, and in-place mixing must do the same."""
+    rng = np.random.default_rng(21)
+    row = rng.standard_normal(9)
+    row[3] = 0.0
+    flipped = row.copy()
+    flipped[3] = -0.0
+    with wide_path():
+        assert_kernels_exact(np.array([row, flipped, row, flipped]))
+        assert_kernels_exact(np.array([flipped, row, rng.standard_normal(9)]))
+    signed = np.array([[0.0], [-0.0], [-0.0], [0.0], [1.5], [-0.0], [-0.0], [-0.0], [2.5]])
+    assert_both_paths_exact(signed)
+
+
+def test_wide_path_with_a_zero_distance_non_copy_between_copies():
+    """Rows 0 and 2 are copies, and row 1 differs from them by 2^-600 in one
+    coordinate, which squares to 0. Row 1 ranks second in row 0's
+    neighborhood and third in row 2's, and these values make (a + b) + a and
+    (a + a) + b differ, so the two copies mix to different rows."""
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal(6)
+    a[0] = np.ldexp(4688127974501598.0, -600)
+    b = a.copy()
+    b[0] = np.ldexp(4688127974501599.0, -600)
+    assert ((a + b) + a)[0] != ((a + a) + b)[0]
+    others = rng.standard_normal((3, 6))
+    with wide_path():
+        assert pairwise_sq_distances(GradientSet(np.array([a, b]))).entries[0, 1] == 0.0
+        assert_kernels_exact(np.array([a, b, a]))
+        assert_kernels_exact(np.vstack([[a, b, a], others, [b, a]]))
+
+
+def test_wide_path_computes_the_distances_of_a_zero_distance_non_copy():
+    """Row 1 is at distance 0 from the copies 0 and 2, yet its distance to
+    row 3 differs from theirs in the last bits, so it keeps its own sweep."""
+    a = np.full(4, 0.5)
+    a[0] = np.ldexp(5.0, -502)
+    b, c = a.copy(), a.copy()
+    b[0] += np.ldexp(1.0, -540)
+    c[0] += np.ldexp(1.0, -500)
+    vectors = np.array([a, b, a, c])
+    entries = loop_pairwise_sq_distances(GradientSet(vectors)).entries
+    assert entries[0, 1] == 0.0 and entries[0, 3] != entries[1, 3]
+    with wide_path():
+        assert_kernels_exact(vectors)
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 5), (7, 40), (12, 3000)])
+def test_wide_path_on_a_set_of_copies_only(n, d):
+    row = np.random.default_rng(n).standard_normal(d)
+    with wide_path():
+        assert_kernels_exact(np.tile(row, (n, 1)))
+
+
+def test_one_dimensional_sets_keep_the_gathered_pairwise_sums():
+    """At d = 1 numpy sums a neighborhood's contiguous member axis pairwise,
+    eight-way unrolled from 8 members on, an order that in-place adds in rank
+    order do not follow; d = 1 is never wide."""
+    rng = np.random.default_rng(23)
+    vectors = rng.standard_normal((16, 1)) * 1e3
+    vectors[[4, 9, 13]] = vectors[2]
+    with wide_path():
+        assert not geometry.wide_set(GradientSet(vectors))
+    assert_both_paths_exact(vectors)
 
 
 def test_kernels_match_loops_at_wide_scale():
