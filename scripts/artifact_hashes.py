@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""sha256 of every run's metrics.csv and trust_scores.jsonl on the hash gate.
+"""sha256 of every run's metrics.csv and trust_scores.jsonl on the hash gate,
+and of the wide-set kernels' outputs.
 
 Runs the 126 criterion-7 cells (``sweep.CRIT7_*``) and the determinism
-config of ``verification`` at seeds 7 and 8, through ``sweep.run_sweep``, and
-prints one JSON object mapping each cell to the hashes of its two
-artifacts. A change that must keep results bit for bit prints the same
-object as its parent:
+config of ``verification`` at seeds 7 and 8, through ``sweep.run_sweep``,
+and maps each cell to the hashes of its two artifacts. The grid's sets are
+N=10, so it also calls ``pairwise_sq_distances`` and the 7 criterion-7
+defenses directly on fixed N=100, d=10 000 sets, which take the wide path,
+and hashes the distances, each aggregate and prodigy's scores. It prints
+one JSON object. A change that must keep results bit for bit prints the
+same object as its parent:
 
     python3 scripts/artifact_hashes.py --jobs 2 > change.json
     (same command in a checkout of the parent) > parent.json
@@ -19,8 +23,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from robustfed.aggregators import Aggregator, AggregatorSpec, AggregatorState
+from robustfed.geometry import GradientSet, pairwise_sq_distances
+from robustfed.prodigy import DegenerateRoundError
 from robustfed.sweep import (
     CRIT7_ATTACKS,
     CRIT7_BASE,
@@ -33,6 +42,7 @@ from robustfed.verification import _determinism_config
 
 ARTIFACTS = ("metrics.csv", "trust_scores.jsonl")
 DETERMINISM_SEEDS = [7, 8]
+WIDE_N, WIDE_D, WIDE_F = 100, 10_000, 20
 
 
 def sweeps() -> dict[str, SweepSpec]:
@@ -50,6 +60,47 @@ def sweeps() -> dict[str, SweepSpec]:
     }
 
 
+def wide_sets() -> dict[str, np.ndarray]:
+    """Gaussian honest rows around a random centre, under f byzantine rows:
+    copies of the ALIE vector (honest mean - std) at rows 0..f-1 or at
+    scattered rows, or that vector plus small distinct noise per row."""
+    rng = np.random.default_rng(2024)
+    honest = 0.5 * rng.standard_normal(WIDE_D) + rng.standard_normal((WIDE_N - WIDE_F, WIDE_D))
+    alie = honest.mean(axis=0) - honest.std(axis=0)
+    copies = np.vstack([np.tile(alie, (WIDE_F, 1)), honest])
+    noisy = np.vstack([alie + 1e-3 * rng.standard_normal((WIDE_F, WIDE_D)), honest])
+    return {
+        "copies_first": copies,
+        "copies_scattered": copies[rng.permutation(WIDE_N)],
+        "copy_free": noisy,
+    }
+
+
+def wide_hashes() -> dict[str, dict[str, str]]:
+    hashes = {}
+    for name, vectors in wide_sets().items():
+        g = GradientSet(vectors)
+        hashes[f"wide/{name}/distances"] = {"entries": digest(pairwise_sq_distances(g).entries)}
+        for label, defense in CRIT7_DEFENSES:
+            spec = AggregatorSpec(defense["kind"], nnm_enabled=defense.get("nnm", False))
+            state = AggregatorState(vectors[WIDE_F:].mean(axis=0))  # cclip's warm start
+            try:
+                result = Aggregator(spec, WIDE_N, WIDE_F)(g, state)
+                outputs, trust = {"aggregate": digest(result.vector)}, result.trust
+            except DegenerateRoundError as err:
+                outputs, trust = {"aggregate": "degenerate"}, err.scores
+            if trust is not None:
+                outputs["trust"] = digest(
+                    np.stack([trust.proximity, trust.dissimilarity, trust.composite, trust.final])
+                )
+            hashes[f"wide/{name}/{label}"] = outputs
+    return hashes
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -59,7 +110,7 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1, help="parallel runs")
     args = parser.parse_args()
 
-    hashes = {}
+    hashes = wide_hashes()
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in sweeps().items():

@@ -198,9 +198,9 @@ def build_clients(cfg: ExperimentConfig) -> tuple[list[ClientState], LabeledData
 def run_training(cfg: ExperimentConfig) -> TrainResult:
     """Execute the full round loop and return the model plus round records.
 
-    Degenerate aggregation rounds (all clients filtered) leave the model
-    unchanged and are flagged in the record rather than falling back to an
-    unprotected rule.
+    Degenerate aggregation rounds (all clients filtered, or a non-finite
+    aggregate) leave the model unchanged and are flagged in the record rather
+    than falling back to an unprotected rule.
     """
     validate_config(cfg)
     sched = cfg.schedule
@@ -257,6 +257,8 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
             result = AggregationResult(np.zeros(model.param_dim), err.scores)
             degenerate = True
         wall_ms = (time.perf_counter() - start) * 1e3
+        # a non-finite aggregate would poison theta and end the run a round later
+        degenerate = degenerate or not np.isfinite(result.vector).all()
 
         if not degenerate:
             theta = theta - gamma * result.vector

@@ -18,6 +18,14 @@ import numpy as np
 # in one or two blocks. At N=100, d=10 000 a 16 MiB cap was slower and
 # raised peak memory by 25 MB.
 #
+# It also sizes the tiles of the distance sweep (``tile_rows``): a tile of
+# anchors, a tile of rows and the difference buffer fit in it together. An
+# N=10 grid set is one tile and sweeps as it did unblocked. At N=100,
+# d=10 000 a tile is 4 rows; the unblocked sweep wrote up to 8 MB of
+# differences per anchor, out of L2, and read them back. There 4-row tiles
+# took 59 ms per call, 13-row tiles 63 ms and the unblocked sweep 78 ms
+# (87, 93 and 113 ms without copies; 2-CPU Xeon, 2 MiB L2 per core).
+#
 # It is also the size above which a set with d > 1 is wide (``wide_set``):
 # its neighborhood kernels mix in place and compute copy groups once. Below
 # it each path wins a workload: at N=10, d=1994 the wide path made the
@@ -116,36 +124,79 @@ def pairwise_sq_distances(g: GradientSet) -> DistanceMatrix:
     Computed as sum_i (a_i - b_i)^2 rather than ||a||^2 + ||b||^2 - 2ab,
     which loses precision catastrophically on near-identical updates.
 
-    Only the upper triangle is computed; row k of it is mirrored into column
-    k. The mirror is exact because a - b is exactly -(b - a) in floating
-    point, so both differences square to the same value. Row k reduces over
-    ``vectors[k:]``, which keeps the zero self row: a one-row einsum takes a
-    different summation path and can change the last bit of a distance.
+    Only the upper triangle is computed, and each sweep mirrors its entries
+    into the lower one. The mirror is exact because a - b is exactly -(b - a)
+    in floating point, so both differences square to the same value.
+
+    The sweep is cache-blocked. Rows are cut into tiles of ``tile_rows(g)``
+    rows. A tile of anchors k sweeps every tile of rows j >= k in turn; per
+    anchor it subtracts into one reused tile-sized buffer and reduces that.
+    A grid set at N=10 is one tile, so each anchor sweeps ``vectors[k:]``.
+
+    einsum reduces each row of a sweep of two or more rows in the same
+    order, whatever the number of rows, but a one-row sweep takes another
+    summation path and can change the last bit. So a sweep that would hold
+    one row takes the row before it too, which recomputes an entry already
+    written with the same bits. The only one-row sweep left is the last
+    anchor's zero self distance.
 
     On a wide set, a row equal to an earlier row takes that row's entries
-    instead of its own sweep. They are the entries the sweep would give:
-    the same differences, or their negations, squared and reduced in sweeps
-    of two or more rows; a one-row sweep holds only the zero self distance.
-    A zero distance only proposes a copy, since a tiny difference squares
-    to 0.
+    and sweeps nothing. They are the entries its sweep would give: the same
+    differences, up to the sign of zeros, squared. A tile of anchors runs
+    before the later anchors are swept, so copies are found up front
+    (``equal_rows``) rather than from zero distances: a tiny difference
+    squares to 0 as well.
     """
     n = g.n_clients
+    vectors = g.vectors
     out = np.empty((n, n), dtype=np.float64)
-    diff = np.empty_like(g.vectors)
-    wide = wide_set(g)
-    source = list(range(n))  # a copy's earlier original, else the row itself
-    for k in range(n):
-        if source[k] != k:
-            out[k, k:] = out[k:, k] = out[source[k], k:]
-            continue
-        rows = diff[: n - k]
-        np.subtract(g.vectors[k:], g.vectors[k], out=rows)
-        out[k, k:] = out[k:, k] = np.einsum("ij,ij->i", rows, rows)
-        if wide:
-            later = k + 1 + np.flatnonzero(out[k, k + 1 :] == 0.0)
-            for j in later[(g.vectors[later] == g.vectors[k]).all(axis=1)].tolist():
-                source[j] = k
+    source = equal_rows(vectors).tolist() if wide_set(g) else range(n)
+    tile = tile_rows(g)
+    diff = np.empty((min(tile, n), g.dim))
+    for a0 in range(0, n, tile):
+        anchors = [k for k in range(a0, min(a0 + tile, n)) if source[k] == k]
+        for j0 in range(a0, n, tile):
+            j1 = min(j0 + tile, n)
+            for k in anchors:
+                lo = max(j0, k)
+                if j1 - lo == 1 and k < n - 1:
+                    lo -= 1
+                rows = diff[: j1 - lo]
+                np.subtract(vectors[lo:j1], vectors[k], out=rows)
+                out[k, lo:j1] = out[lo:j1, k] = np.einsum("ij,ij->i", rows, rows)
+    for k, first in enumerate(source):
+        if first != k:
+            out[k, k:] = out[k:, k] = out[first, k:]
     return DistanceMatrix(out)
+
+
+def tile_rows(g: GradientSet) -> int:
+    """Rows per tile of the distance sweep: three tiles fit in GATHER_BYTES,
+    and a tile holds at least 2 rows (see GATHER_BYTES)."""
+    return max(2, GATHER_BYTES // (3 * g.dim * g.vectors.itemsize))
+
+
+def equal_rows(vectors: np.ndarray) -> np.ndarray:
+    """Per row, the lowest index of a row equal to it (itself if none).
+
+    Equal means ``==`` in every coordinate, so rows that differ only in the
+    sign of a zero are equal. Equal rows have equal sums (a NaN sum counts
+    as inf), so rows are sorted by sum and each run of equal sums is then
+    confirmed with ``==``. The sort is the stable one neighbor_order uses:
+    numpy's default sort would page in code of its own.
+    """
+    source = np.arange(len(vectors))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum still groups
+        sums = np.nan_to_num(vectors.sum(axis=1), nan=np.inf)
+    order = np.argsort(sums, kind="stable")  # stable: each run ascends by index
+    ranked = sums[order]
+    for members in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        while len(members) > 1:
+            first, rest = members[0], members[1:]
+            same = (vectors[rest] == vectors[first]).all(axis=1)
+            source[rest[same]] = first
+            members = rest[~same]
+    return source
 
 
 def distances_of(g: GradientSet) -> DistanceMatrix:

@@ -270,6 +270,41 @@ def test_degenerate_round_freezes_model_and_flags_record():
     assert all(rec.trust is not None for rec in result.records)
 
 
+def test_non_finite_aggregate_freezes_model_and_flags_record(monkeypatch):
+    """A NaN aggregate in round 2 leaves theta as a degenerate round does,
+    and the run goes on instead of failing on non-finite logits in round 3."""
+    cfg = small_config(schedule={"rounds": 6, "batch_size": 8})
+    original = Aggregator.__call__
+    rounds = []
+
+    def failing_in_round_2(failure):
+        def call(self, g, state=None):
+            rounds.append(None)
+            if len(rounds) % cfg.schedule.rounds == 3:
+                return failure()
+            return original(self, g, state)
+
+        return call
+
+    def nan_aggregate():
+        return AggregationResult(np.full(cfg.model.param_dim, np.nan))
+
+    def degenerate_round():
+        raise DegenerateRoundError(None)
+
+    monkeypatch.setattr(Aggregator, "__call__", failing_in_round_2(nan_aggregate))
+    result = run_training(cfg)
+    monkeypatch.setattr(Aggregator, "__call__", failing_in_round_2(degenerate_round))
+    skipped = run_training(cfg)
+
+    assert [rec.degenerate for rec in result.records] == [False, False, True, False, False, False]
+    assert np.isfinite(result.theta).all()
+    assert np.array_equal(result.theta, skipped.theta)
+    assert [rec.test_accuracy for rec in result.records] == [
+        rec.test_accuracy for rec in skipped.records
+    ]
+
+
 def test_run_training_determinism():
     cfg_a = small_config(n_byzantine=2, attack={"kind": "alie", "z": 1.0}, defense={"kind": "prodigy"})
     cfg_b = small_config(n_byzantine=2, attack={"kind": "alie", "z": 1.0}, defense={"kind": "prodigy"})

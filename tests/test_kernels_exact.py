@@ -187,7 +187,7 @@ def assert_kernels_exact(vectors: np.ndarray) -> None:
             assert same_bits(vector, ref_vector)
         for got, want in zip(parts, ref_parts):
             assert same_bits(got, want)
-        assert threshold == ref_threshold
+        assert same_bits(threshold, ref_threshold)  # bits: a NaN threshold equals itself
 
 
 def assert_both_paths_exact(vectors: np.ndarray) -> None:
@@ -304,6 +304,118 @@ def test_one_dimensional_sets_keep_the_gathered_pairwise_sums():
     with wide_path():
         assert not geometry.wide_set(GradientSet(vectors))
     assert_both_paths_exact(vectors)
+
+
+# --- the distance sweep in tiles ---------------------------------------------
+
+
+def tiles_of(rows: int, d: int):
+    """Inside this context, d-dimensional sets sweep their distances in tiles
+    of ``rows`` rows, and sets of more than 3 * rows rows are wide."""
+    patch = mock.patch.object(geometry, "GATHER_BYTES", 3 * rows * d * 8)
+    with patch:
+        assert geometry.tile_rows(GradientSet(np.zeros((1, d)))) == rows
+    return patch
+
+
+@settings(max_examples=80, deadline=None)
+@given(sets_with_duplicates(max_n=14), st.integers(2, 6))
+def test_kernels_match_loops_on_tied_sets_in_any_tile(vectors, rows):
+    with tiles_of(rows, vectors.shape[1]):
+        assert_kernels_exact(vectors)
+
+
+@pytest.mark.parametrize("d", [30, 10_000])
+@pytest.mark.parametrize("rows", [2, 3, 4, 5])
+def test_distance_tiles_with_one_row_tails(rows, d):
+    """N = 1 mod the tile: the last tile holds one row, and the last anchor of
+    every tile of anchors has one row left in its own tile. Above 8192
+    columns a one-row einsum sums in another order than a row of a larger
+    one, so there a one-row sweep would change bits."""
+    rng = np.random.default_rng(rows)
+    for n in (rows + 1, 3 * rows + 1):
+        vectors = rng.standard_normal((n, d))
+        vectors[n // 2] = vectors[0]
+        with tiles_of(rows, d):
+            assert_kernels_exact(vectors)
+
+
+def test_distance_tiles_with_copies_across_anchor_tiles():
+    """Two copy groups whose members lie in different tiles of anchors, one
+    of them led by a row of the last tile."""
+    rng = np.random.default_rng(31)
+    vectors = rng.standard_normal((14, 20))
+    vectors[[4, 7, 13]] = vectors[0]
+    vectors[[3, 11]] = vectors[2]
+    vectors[12] = vectors[10]
+    with tiles_of(3, 20):
+        assert geometry.wide_set(GradientSet(vectors))
+        assert np.array_equal(
+            geometry.equal_rows(vectors), [0, 1, 2, 2, 0, 5, 6, 0, 8, 9, 10, 2, 10, 0]
+        )
+        assert_kernels_exact(vectors)
+
+
+def test_distance_tiles_on_copies_that_differ_in_the_sign_of_a_zero():
+    rng = np.random.default_rng(32)
+    row = rng.standard_normal(12)
+    row[[2, 7]] = 0.0
+    flipped = row.copy()
+    flipped[7] = -0.0
+    vectors = np.vstack([rng.standard_normal((9, 12)), [row, flipped, row, flipped, row]])
+    vectors[[1, 4]] = flipped
+    with tiles_of(2, 12):
+        assert np.array_equal(geometry.equal_rows(vectors)[[1, 4, 9, 10, 11, 12, 13]], [1] * 7)
+        assert_kernels_exact(vectors)
+    with tiles_of(4, 12):
+        assert_kernels_exact(vectors)
+
+
+def test_distance_tiles_on_an_underflowing_non_copy():
+    """Row 5 differs from row 1 by 1e-170 in one coordinate: their distance
+    underflows to 0 and their sums are equal, yet they are not copies."""
+    rng = np.random.default_rng(33)
+    vectors = rng.standard_normal((11, 16))
+    vectors[1, 0] = 1e-160
+    vectors[[5, 8]] = vectors[1]
+    vectors[5, 0] += 1e-170
+    assert vectors[5, 0] != vectors[1, 0]
+    assert vectors[5].sum() == vectors[1].sum()
+    with tiles_of(3, 16):
+        assert pairwise_sq_distances(GradientSet(vectors)).entries[1, 5] == 0.0
+        assert np.array_equal(geometry.equal_rows(vectors)[[1, 5, 8]], [1, 5, 1])
+        assert_kernels_exact(vectors)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_distance_tiles_on_overflowing_distances(rows):
+    """Rows scaled by 1e200: most squared differences overflow to inf."""
+    rng = np.random.default_rng(34)
+    vectors = rng.standard_normal((10, 8))
+    vectors[[3, 9]] = vectors[6]
+    vectors *= 1e200
+    entries = loop_pairwise_sq_distances(GradientSet(vectors)).entries
+    assert np.isinf(entries).sum() > 50
+    with tiles_of(rows, 8), np.errstate(over="ignore", invalid="ignore"):
+        assert_kernels_exact(vectors)
+
+
+def test_equal_rows_group_copies_whose_sums_overflow():
+    """Row sums that overflow to inf, or to NaN through partial sums of
+    opposite sign, still group the copies and only them."""
+    rng = np.random.default_rng(35)
+    nan_row, inf_row = rng.standard_normal((2, 16))
+    nan_row[[0, 8]], nan_row[[1, 9]], inf_row[[0, 8]] = 1.5e308, -1.5e308, 1.5e308
+    other_nan = nan_row.copy()
+    other_nan[5] += 1.0
+    vectors = np.vstack([[nan_row, inf_row, other_nan, nan_row, inf_row], rng.standard_normal((2, 16))])
+    g = GradientSet(vectors)
+    with tiles_of(2, 16), np.errstate(over="ignore", invalid="ignore"):
+        sums = vectors.sum(axis=1)
+        assert np.isnan(sums[[0, 2, 3]]).all() and np.isinf(sums[[1, 4]]).all()
+        assert geometry.wide_set(g)
+        assert np.array_equal(geometry.equal_rows(vectors), [0, 1, 2, 0, 1, 5, 6])
+        assert same_bits(pairwise_sq_distances(g).entries, loop_pairwise_sq_distances(g).entries)
 
 
 def test_kernels_match_loops_at_wide_scale():
