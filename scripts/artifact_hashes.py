@@ -63,16 +63,26 @@ def sweeps() -> dict[str, SweepSpec]:
 def wide_sets() -> dict[str, np.ndarray]:
     """Gaussian honest rows around a random centre, under f byzantine rows:
     copies of the ALIE vector (honest mean - std) at rows 0..f-1 or at
-    scattered rows, or that vector plus small distinct noise per row."""
+    scattered rows, or that vector plus small distinct noise per row.
+
+    In the last set the copies hold 0.0 in one coordinate, and a row among
+    them holds 1e-170 there instead: its distance to them underflows to 0,
+    yet it is no copy, so the copies must not share their results."""
     rng = np.random.default_rng(2024)
     honest = 0.5 * rng.standard_normal(WIDE_D) + rng.standard_normal((WIDE_N - WIDE_F, WIDE_D))
     alie = honest.mean(axis=0) - honest.std(axis=0)
     copies = np.vstack([np.tile(alie, (WIDE_F, 1)), honest])
     noisy = np.vstack([alie + 1e-3 * rng.standard_normal((WIDE_F, WIDE_D)), honest])
+    zeroed = alie.copy()
+    zeroed[0] = 0.0
+    near = zeroed.copy()
+    near[0] = 1e-170
+    half = np.tile(zeroed, (WIDE_F // 2, 1))
     return {
         "copies_first": copies,
         "copies_scattered": copies[rng.permutation(WIDE_N)],
         "copy_free": noisy,
+        "zero_distance_non_copy": np.vstack([half, near, half, honest[1:]]),
     }
 
 
@@ -80,7 +90,7 @@ def wide_hashes() -> dict[str, dict[str, str]]:
     hashes = {}
     for name, vectors in wide_sets().items():
         g = GradientSet(vectors)
-        hashes[f"wide/{name}/distances"] = {"entries": digest(pairwise_sq_distances(g).entries)}
+        hashes[f"wide/{name}/distances"] = {"entries": digest(pairwise_sq_distances(g))}
         for label, defense in CRIT7_DEFENSES:
             spec = AggregatorSpec(defense["kind"], nnm_enabled=defense.get("nnm", False))
             state = AggregatorState(vectors[WIDE_F:].mean(axis=0))  # cclip's warm start

@@ -21,8 +21,6 @@ from .geometry import (
 )
 from .prodigy import ProdigyParams, TrustScores, prodigy_aggregate
 
-AGGREGATOR_KINDS = ("average", "median", "trimmed_mean", "geomed", "krum", "cclip", "prodigy")
-
 
 @dataclass
 class AggregatorSpec:
@@ -188,6 +186,24 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
     return GradientSet(mixed, g.client_ids.copy())
 
 
+# Per kind, the rule applied to the (mixed) set. Each entry looks its rule up
+# by name when called, so rebinding a module-level rule reaches it.
+_RULES = {
+    "average": lambda agg, g, state: AggregationResult(average(g)),
+    "median": lambda agg, g, state: AggregationResult(coordinate_median(g)),
+    "trimmed_mean": lambda agg, g, state: AggregationResult(trimmed_mean(g, agg.trim_q)),
+    "geomed": lambda agg, g, state: AggregationResult(
+        geometric_median(g, agg.spec.weiszfeld_nu, agg.spec.weiszfeld_rounds)
+    ),
+    "krum": lambda agg, g, state: AggregationResult(krum(g, agg.n_byzantine)),
+    "cclip": lambda agg, g, state: AggregationResult(
+        centered_clip(g, state, agg.spec.clip_tau, agg.spec.clip_iters)
+    ),
+    "prodigy": lambda agg, g, state: AggregationResult(*prodigy_aggregate(g, agg.params)),
+}
+AGGREGATOR_KINDS = tuple(_RULES)
+
+
 class Aggregator:
     """AggregatorSpec bound to the run's client counts, callable per round.
 
@@ -206,9 +222,8 @@ class Aggregator:
             )
         if spec.kind == "krum" and n_clients < n_byzantine + 3:
             raise ValueError(f"krum needs N >= f + 3, got N={n_clients}, f={n_byzantine}")
-        if spec.kind == "prodigy":
-            # validates 1 <= f < N/2 up front
-            ProdigyParams(n_clients, n_byzantine)
+        # validates 1 <= f < N/2 up front
+        self.params = ProdigyParams(n_clients, n_byzantine) if spec.kind == "prodigy" else None
         if spec.nnm_enabled and n_clients - n_byzantine < 1:
             raise ValueError("nnm mixing needs N - f >= 1")
 
@@ -217,22 +232,4 @@ class Aggregator:
             raise ValueError(f"expected {self.n_clients} updates, got {g.n_clients}")
         if self.spec.nnm_enabled:
             g = nnm_mix(g, self.n_byzantine)
-        kind = self.spec.kind
-        if kind == "average":
-            return AggregationResult(average(g))
-        if kind == "median":
-            return AggregationResult(coordinate_median(g))
-        if kind == "trimmed_mean":
-            return AggregationResult(trimmed_mean(g, self.trim_q))
-        if kind == "geomed":
-            return AggregationResult(
-                geometric_median(g, self.spec.weiszfeld_nu, self.spec.weiszfeld_rounds)
-            )
-        if kind == "krum":
-            return AggregationResult(krum(g, self.n_byzantine))
-        if kind == "cclip":
-            return AggregationResult(
-                centered_clip(g, state, self.spec.clip_tau, self.spec.clip_iters)
-            )
-        vector, trust = prodigy_aggregate(g, ProdigyParams(self.n_clients, self.n_byzantine))
-        return AggregationResult(vector, trust)
+        return _RULES[self.spec.kind](self, g, state)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DistanceMatrix, GradientSet, pairwise_sq_distances
+from .geometry import GradientSet, pairwise_sq_distances
 from .prodigy import DegenerateRoundError
 
 ATTACK_KINDS = ("none", "alie", "foe", "sign_flip", "label_flip")
@@ -46,21 +46,11 @@ class AttackSpec:
         return self.kind
 
 
-@dataclass
-class HonestSummary:
+def honest_summary(honest: GradientSet) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted per-coordinate mean and population std of the honest updates."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def honest_summary(honest: GradientSet) -> HonestSummary:
     if honest.n_clients < 1:
         raise ValueError("need at least one honest client")
-    return HonestSummary(
-        mean=honest.vectors.mean(axis=0),
-        std=honest.vectors.std(axis=0),
-    )
+    return honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
 
 
 def alie_candidates(z: float) -> list[float]:
@@ -125,19 +115,19 @@ class _CandidateSets:
         self.vectors[self.byz_pos] = byz_vector
         return GradientSet(self.vectors, self.ids, lambda: self.distances(byz_vector))
 
-    def distances(self, byz_vector: np.ndarray) -> DistanceMatrix:
+    def distances(self, byz_vector: np.ndarray) -> np.ndarray:
         if self.honest_block is None:
             n = len(self.ids)
             self.honest_block = np.zeros((n, n))
             self.honest_block[np.ix_(self.honest_pos, self.honest_pos)] = (
-                pairwise_sq_distances(self.honest).entries
+                pairwise_sq_distances(self.honest)
             )
         np.subtract(self.honest.vectors, byz_vector, out=self.diff[1:])
         cross = np.einsum("ij,ij->i", self.diff, self.diff)[1:]
         entries = self.honest_block.copy()
         entries[self.cross_rows] = cross
         entries[self.cross_cols] = cross[:, None]
-        return DistanceMatrix(entries)
+        return entries
 
 
 def _grid_search(
@@ -202,18 +192,18 @@ def craft_attack(
             return GradientSet(-byz_local.vectors, byz_ids)
         return GradientSet(byz_local.vectors.copy(), byz_ids)
 
-    summary = honest_summary(honest)
+    mean, std = honest_summary(honest)
     if spec.kind == "alie":
-        make_vector = lambda zv: summary.mean - zv * summary.std
+        make_vector = lambda zv: mean - zv * std
         grid = alie_candidates(spec.z) if spec.search else [spec.z]
     else:
-        make_vector = lambda ev: -ev * summary.mean
+        make_vector = lambda ev: -ev * mean
         grid = foe_candidates(spec.eps) if spec.search else [spec.eps]
 
     if spec.search:
         if defense is None:
             raise ValueError("grid search needs a defense handle")
-        vec = _grid_search(grid, make_vector, honest, byz_ids, defense, summary.mean)
+        vec = _grid_search(grid, make_vector, honest, byz_ids, defense, mean)
     else:
         vec = make_vector(grid[0])
     return GradientSet(np.tile(vec, (f, 1)), byz_ids)

@@ -1,18 +1,18 @@
 """Command-line interface: run, sweep, verify, partition-preview.
 
-Exit codes: 0 ok, 1 config error, 2 runtime error, 3 verification failure.
+Exit codes: 0 ok, 1 config error, 2 runtime error (for sweep: any run
+failed), 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .engine import client_shards
-from .runner import OUTPUT_DIR_ENV, execute_run
+from .runner import default_output_dir, execute_run
 from .sweep import parse_sweep, run_sweep
 from .verification import run_all_checks
 
@@ -43,17 +43,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_sweep(_load(args.config))
-    sweep_dir = Path(args.out) if args.out else resolve_output_dir_default("sweep")
+    sweep_dir = Path(args.out) if args.out else default_output_dir() / "sweep"
     rows = run_sweep(spec, sweep_dir, jobs=args.jobs)
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows)} runs ({len(failed)} failed); summary at {sweep_dir / 'summary.csv'}")
     for row in failed:
         print(f"  FAILED {row['defense']} / {row['attack']} seed={row['seed']}: {row['error']}")
-    return EXIT_OK
-
-
-def resolve_output_dir_default(name: str) -> Path:
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "out")) / name
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def _cmd_verify(_args) -> int:

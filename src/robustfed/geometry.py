@@ -41,15 +41,16 @@ GATHER_BYTES = 1 << 20
 class GradientSet:
     """N client update vectors of dimension d, in client-id order.
 
-    ``distances`` optionally supplies the set's pairwise squared distances,
-    which must equal ``pairwise_sq_distances`` of this set bit for bit; rules
-    read them through ``distances_of``. The attack search's candidate sets
-    supply them, so that rules without distances do not pay for them.
+    ``distances`` optionally supplies the set's (N, N) pairwise squared
+    distances, which must equal ``pairwise_sq_distances`` of this set bit for
+    bit; rules read them through ``distances_of``. The attack search's
+    candidate sets supply them, so that rules without distances do not pay
+    for them.
     """
 
     vectors: np.ndarray
     client_ids: np.ndarray | None = None
-    distances: Callable[[], DistanceMatrix] | None = None
+    distances: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -81,17 +82,6 @@ class GradientSet:
 
 
 @dataclass
-class DistanceMatrix:
-    """Symmetric N x N matrix of pairwise squared Euclidean distances."""
-
-    entries: np.ndarray
-
-    @property
-    def n_clients(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass
 class NeighborOrder:
     """Per client, the other clients sorted by ascending squared distance.
 
@@ -107,19 +97,8 @@ class NeighborOrder:
         return self.indices.shape[0]
 
 
-@dataclass
-class VectorSetStats:
-    """Mean vector and root-mean-square distance to it (population form).
-
-    Batched sets carry one mean row and one spread per set.
-    """
-
-    mean: np.ndarray
-    spread: float | np.ndarray
-
-
-def pairwise_sq_distances(g: GradientSet) -> DistanceMatrix:
-    """Squared Euclidean distance between every pair of client updates.
+def pairwise_sq_distances(g: GradientSet) -> np.ndarray:
+    """The symmetric (N, N) squared Euclidean distances between client updates.
 
     Computed as sum_i (a_i - b_i)^2 rather than ||a||^2 + ||b||^2 - 2ab,
     which loses precision catastrophically on near-identical updates.
@@ -167,7 +146,7 @@ def pairwise_sq_distances(g: GradientSet) -> DistanceMatrix:
     for k, first in enumerate(source):
         if first != k:
             out[k, k:] = out[k:, k] = out[first, k:]
-    return DistanceMatrix(out)
+    return out
 
 
 def tile_rows(g: GradientSet) -> int:
@@ -199,21 +178,22 @@ def equal_rows(vectors: np.ndarray) -> np.ndarray:
     return source
 
 
-def distances_of(g: GradientSet) -> DistanceMatrix:
+def distances_of(g: GradientSet) -> np.ndarray:
     """The distances ``g`` supplies, else ``pairwise_sq_distances(g)``."""
     return g.distances() if g.distances is not None else pairwise_sq_distances(g)
 
 
-def neighbor_order(m: DistanceMatrix) -> NeighborOrder:
+def neighbor_order(distances: np.ndarray) -> NeighborOrder:
     """Sort each client's peers by ascending squared distance, ties by index."""
-    masked = m.entries.copy()
+    masked = distances.copy()
     np.fill_diagonal(masked, -np.inf)  # every client sorts itself first, then drops out
     indices = np.argsort(masked, axis=1, kind="stable")[:, 1:]  # stable: ties by index
-    return NeighborOrder(indices=indices, distances=np.take_along_axis(m.entries, indices, axis=1))
+    return NeighborOrder(indices=indices, distances=np.take_along_axis(distances, indices, axis=1))
 
 
-def vector_set_stats(subset: np.ndarray) -> VectorSetStats:
-    """Mean and population RMS spread of a nonempty set of equal-length vectors.
+def vector_set_stats(subset: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Mean and population RMS spread (root-mean-square distance to the mean)
+    of a nonempty set of equal-length vectors.
 
     A 2-D ``(m, d)`` set gives a ``(d,)`` mean and a float spread. A 3-D
     ``(B, m, d)`` batch of sets gives ``(B, d)`` means and ``(B,)`` spreads,
@@ -225,7 +205,7 @@ def vector_set_stats(subset: np.ndarray) -> VectorSetStats:
     mean = arr.mean(axis=-2)
     diff = arr - mean[..., None, :]
     spread = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff).mean(axis=-1))
-    return VectorSetStats(mean=mean, spread=float(spread) if arr.ndim == 2 else spread)
+    return mean, float(spread) if arr.ndim == 2 else spread
 
 
 def wide_set(g: GradientSet) -> bool:
@@ -237,26 +217,26 @@ def wide_set(g: GradientSet) -> bool:
 def copy_sources(g: GradientSet, order: NeighborOrder) -> np.ndarray:
     """Per client, the lowest-index client whose neighborhood results it takes.
 
-    A copy group shares when its rows are equal and its zero-distance peers
-    are exactly its members. Then each member ranks itself, the other members
-    by index, and the remaining clients in one order, so every member's
-    neighborhood adds the same values in the same order. A zero distance
-    alone proposes a copy but does not confirm it: a tiny difference squares
-    to 0 by underflow. And a non-copy at distance 0 whose index lies between
-    two copies takes different ranks in their neighborhoods, so such a group
-    is computed row by row. Rows equal up to the sign of a zero count as
-    copies: no neighborhood kernel's result depends on that sign.
+    A copy group shares when its rows are equal (``equal_rows``) and its
+    zero-distance peers are exactly its members. Then each member ranks
+    itself, the other members by index, and the remaining clients in one
+    order, so every member's neighborhood adds the same values in the same
+    order. A zero distance alone proposes a copy but does not confirm it: a
+    tiny difference squares to 0 by underflow. And a non-copy at distance 0
+    whose index lies between two copies takes different ranks in their
+    neighborhoods, so such a group is computed row by row. Rows equal up to
+    the sign of a zero count as copies: no neighborhood kernel's result
+    depends on that sign.
+
+    Copies are at distance 0, so only rows with a zero distance are grouped.
     """
-    n = g.n_clients
-    source = np.arange(n)
+    source = np.arange(g.n_clients)
     zeros = (order.distances == 0.0).sum(axis=1)
-    for k in np.flatnonzero(zeros):
-        if source[k] == k:
-            peers = order.indices[k, : zeros[k]]
-            later = peers[peers > k]
-            copies = later[(g.vectors[later] == g.vectors[k]).all(axis=1)]
-            if len(copies) == zeros[k]:
-                source[copies] = k
+    rows = np.flatnonzero(zeros)
+    first = rows[equal_rows(g.vectors[rows])]
+    members = np.bincount(first, minlength=g.n_clients)[first]
+    share = zeros[first] == members - 1
+    source[rows[share]] = first[share]
     return source
 
 

@@ -38,13 +38,16 @@ class DegenerateRoundError(RuntimeError):
         self.scores = scores
 
 
+# Added to both score denominators, so identical updates score finitely.
+EPSILON_GUARD = 1e-12
+
+
 @dataclass(frozen=True)
 class ProdigyParams:
-    """Client counts and the denominator clamp for the scoring pipeline."""
+    """Client counts of the scoring pipeline."""
 
     n_clients: int
     n_byzantine: int
-    epsilon_guard: float = 1e-12
 
     def __post_init__(self):
         n, f = self.n_clients, self.n_byzantine
@@ -52,8 +55,6 @@ class ProdigyParams:
             raise ValueError(f"need at least one presumed byzantine client, got f={f}")
         if 2 * f >= n:
             raise ValueError(f"adversarial model requires f < N/2, got N={n}, f={f}")
-        if self.epsilon_guard <= 0:
-            raise ValueError("epsilon_guard must be positive")
 
 
 @dataclass
@@ -92,7 +93,7 @@ def proximity_scores(order: NeighborOrder, p: ProdigyParams) -> np.ndarray:
     _check_order(order, p)
     f = p.n_byzantine
     window = order.distances[:, f - 1 : order.n_clients - f - 1]
-    return 1.0 / (window.sum(axis=1) + p.epsilon_guard)
+    return 1.0 / (window.sum(axis=1) + EPSILON_GUARD)
 
 
 def dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams) -> np.ndarray:
@@ -113,10 +114,10 @@ def dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams)
     scored = np.flatnonzero(source == np.arange(n))
     scores = np.empty(n)
     for rows, block in neighborhood_blocks(g, order, f, scored):
-        stats = vector_set_stats(block)
+        means, spreads = vector_set_stats(block)
         # One BLAS norm per mean row: a batched norm sums in another order.
-        norms = np.array([np.linalg.norm(mean) for mean in stats.mean])
-        scores[rows] = stats.spread / (norms + p.epsilon_guard)
+        norms = np.array([np.linalg.norm(mean) for mean in means])
+        scores[rows] = spreads / (norms + EPSILON_GUARD)
     return scores[source]
 
 

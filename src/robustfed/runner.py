@@ -31,11 +31,16 @@ class RunArtifacts:
     wall_time_s: float
 
 
+def default_output_dir() -> Path:
+    """The directory ``ROBUSTFED_OUTPUT_DIR`` names, otherwise ./out."""
+    return Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
+
+
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
-    """Config path wins; otherwise the env default, otherwise ./out."""
+    """Config path wins; otherwise ``default_output_dir()``."""
     if cfg.output_path:
         return Path(cfg.output_path)
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
+    return default_output_dir()
 
 
 def _fmt(value) -> str:

@@ -339,7 +339,7 @@ def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
                 )
                 byz_ids = np.arange(f, dtype=np.int64)
                 crafted = craft_attack(attack, honest, byz_ids, defense)
-                summary = honest_summary(honest)
+                mean, std = honest_summary(honest)
 
                 def deviation(vec):
                     ids = np.concatenate([byz_ids, honest.client_ids])
@@ -348,13 +348,13 @@ def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
                         agg = defense(GradientSet(stacked, ids))
                     except DegenerateRoundError:
                         return -np.inf
-                    return float(np.linalg.norm(agg - summary.mean))
+                    return float(np.linalg.norm(agg - mean))
 
                 chosen_dev = deviation(crafted.vectors[0])
                 if attack.kind == "alie":
-                    grid_vecs = [summary.mean - zv * summary.std for zv in alie_candidates(attack.z)]
+                    grid_vecs = [mean - zv * std for zv in alie_candidates(attack.z)]
                 else:
-                    grid_vecs = [-ev * summary.mean for ev in foe_candidates(attack.eps)]
+                    grid_vecs = [-ev * mean for ev in foe_candidates(attack.eps)]
                 best = max(deviation(v) for v in grid_vecs)
                 if chosen_dev < best:
                     return _finish(

@@ -211,6 +211,8 @@ def test_spec_validation():
     spec = AggregatorSpec(kind="trimmed_mean")
     with pytest.raises(ValueError):
         Aggregator(spec, n_clients=10, n_byzantine=5)
+    with pytest.raises(ValueError, match="expected 10 updates, got 9"):
+        Aggregator(AggregatorSpec(), n_clients=10, n_byzantine=3)(GradientSet(np.zeros((9, 2))))
     assert AggregatorSpec(kind="median", nnm_enabled=True).label() == "nnm+median"
 
 

@@ -26,14 +26,14 @@ def test_spec_validation():
 
 
 def test_honest_summary_examples():
-    summary = honest_summary(GradientSet(np.array([[1.0], [3.0]])))
-    assert summary.mean.tolist() == [2.0]
-    assert summary.std.tolist() == [1.0]
-    single = honest_summary(GradientSet(np.array([[4.0, -2.0]])))
-    assert single.std.tolist() == [0.0, 0.0]
+    mean, std = honest_summary(GradientSet(np.array([[1.0], [3.0]])))
+    assert mean.tolist() == [2.0]
+    assert std.tolist() == [1.0]
+    _, single_std = honest_summary(GradientSet(np.array([[4.0, -2.0]])))
+    assert single_std.tolist() == [0.0, 0.0]
     v = np.array([1.0, 2.0])
-    pair = honest_summary(GradientSet(np.stack([v, v])))
-    assert pair.std.tolist() == [0.0, 0.0]
+    _, pair_std = honest_summary(GradientSet(np.stack([v, v])))
+    assert pair_std.tolist() == [0.0, 0.0]
 
 
 def test_alie_grids():
@@ -145,18 +145,18 @@ def test_search_optimality_exhaustive(seed, kind):
     byz_ids = np.array([0, 1])
     spec = AttackSpec(kind=kind, z=1.0, eps=0.5)
     crafted = craft_attack(spec, honest, byz_ids, _avg_defense)
-    summary = honest_summary(honest)
+    mean, std = honest_summary(honest)
 
     def deviation(vec):
         ids = np.concatenate([byz_ids, honest.client_ids])
         stacked = np.vstack([np.tile(vec, (2, 1)), honest.vectors])
         order = np.argsort(ids)
-        return float(np.linalg.norm(_avg_defense(GradientSet(stacked[order], ids[order])) - summary.mean))
+        return float(np.linalg.norm(_avg_defense(GradientSet(stacked[order], ids[order])) - mean))
 
     grid = (
-        [summary.mean - zv * summary.std for zv in alie_candidates(1.0)]
+        [mean - zv * std for zv in alie_candidates(1.0)]
         if kind == "alie"
-        else [-ev * summary.mean for ev in foe_candidates(0.5)]
+        else [-ev * mean for ev in foe_candidates(0.5)]
     )
     chosen = deviation(crafted.vectors[0])
     assert all(chosen >= deviation(v) for v in grid)

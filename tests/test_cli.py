@@ -129,3 +129,19 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "sw" / "summary.csv").exists()
     assert "2 runs" in capsys.readouterr().out
+
+
+def test_sweep_with_failed_runs_exit_code(tmp_path, capsys):
+    # a dirichlet split this skewed cannot give every client a full shard
+    base = json.loads(json.dumps(CONFIG))
+    base.update(n_clients=4, n_byzantine=1)
+    base["data"].update(n_classes=2, per_class=40, alpha=0.01)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": base, "axes": {"seeds": [1, 2]}}))
+    code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert (tmp_path / "sw" / "runs.csv").exists()
+    assert (tmp_path / "sw" / "summary.csv").exists()
+    out = capsys.readouterr().out
+    assert "2 runs (2 failed)" in out
+    assert out.count("FAILED") == 2

@@ -9,7 +9,8 @@ bit, not within a tolerance; the tolerance-based checks against independent
 oracles live in the other test files.
 """
 
-from contextlib import ExitStack
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
@@ -47,7 +48,6 @@ from robustfed.engine import (
 )
 from robustfed.geometry import (
     GATHER_BYTES,
-    DistanceMatrix,
     GradientSet,
     NeighborOrder,
     neighbor_order,
@@ -56,6 +56,7 @@ from robustfed.geometry import (
 )
 from robustfed.models import ModelSpec, evaluate, init_params, model_gradient
 from robustfed.prodigy import (
+    EPSILON_GUARD,
     DegenerateRoundError,
     ProdigyParams,
     dissimilarity_scores,
@@ -64,17 +65,17 @@ from robustfed.prodigy import (
 from robustfed.seeding import stream_id
 
 
-def loop_pairwise_sq_distances(g: GradientSet) -> DistanceMatrix:
+def loop_pairwise_sq_distances(g: GradientSet) -> np.ndarray:
     n = g.n_clients
     out = np.empty((n, n), dtype=np.float64)
     for k in range(n):
         diff = g.vectors - g.vectors[k]
         out[k] = np.einsum("ij,ij->i", diff, diff)
-    return DistanceMatrix(out)
+    return out
 
 
-def loop_neighbor_order(m: DistanceMatrix) -> NeighborOrder:
-    n = m.n_clients
+def loop_neighbor_order(m: np.ndarray) -> NeighborOrder:
+    n = len(m)
     if n < 2:
         return NeighborOrder(
             indices=np.empty((n, 0), dtype=np.intp),
@@ -84,7 +85,7 @@ def loop_neighbor_order(m: DistanceMatrix) -> NeighborOrder:
     distances = np.empty((n, n - 1), dtype=np.float64)
     for k in range(n):
         others = np.concatenate([np.arange(k), np.arange(k + 1, n)])
-        row = m.entries[k, others]
+        row = m[k, others]
         order = np.argsort(row, kind="stable")
         indices[k] = others[order]
         distances[k] = row[order]
@@ -107,7 +108,7 @@ def loop_dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyPa
     for k in range(n):
         members = np.concatenate(([k], order.indices[k, : f - 1]))
         mean, spread = loop_vector_set_stats(g.vectors[members])
-        scores[k] = spread / (float(np.linalg.norm(mean)) + p.epsilon_guard)
+        scores[k] = spread / (float(np.linalg.norm(mean)) + EPSILON_GUARD)
     return scores
 
 
@@ -121,19 +122,45 @@ def loop_nnm_mix(g: GradientSet, f: int) -> GradientSet:
     return GradientSet(mixed, g.client_ids.copy())
 
 
+@contextmanager
 def loop_kernels():
-    """Route prodigy and the aggregators through the loop references."""
-    stack = ExitStack()
-    stack.enter_context(
-        mock.patch.object(geometry, "pairwise_sq_distances", loop_pairwise_sq_distances)
-    )
-    for module in (prodigy, aggregators):
-        stack.enter_context(mock.patch.object(module, "neighbor_order", loop_neighbor_order))
-    stack.enter_context(
-        mock.patch.object(prodigy, "dissimilarity_scores", loop_dissimilarity_scores)
-    )
-    stack.enter_context(mock.patch.object(aggregators, "nnm_mix", loop_nnm_mix))
-    return stack
+    """Route prodigy and the aggregators through the loop references.
+
+    Yields the number of calls into each reference, by its name. A block
+    must assert that the references it depends on ran (``assert_ran``):
+    a rule that no longer reaches a patched name would otherwise compare
+    the fast kernel with itself.
+    """
+    calls = Counter()
+
+    def counted(reference):
+        def wrapper(*args, **kwargs):
+            calls[reference.__name__] += 1
+            return reference(*args, **kwargs)
+
+        return wrapper
+
+    with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.object(geometry, "pairwise_sq_distances", counted(loop_pairwise_sq_distances))
+        )
+        order = counted(loop_neighbor_order)
+        for module in (prodigy, aggregators):
+            stack.enter_context(mock.patch.object(module, "neighbor_order", order))
+        stack.enter_context(
+            mock.patch.object(prodigy, "dissimilarity_scores", counted(loop_dissimilarity_scores))
+        )
+        stack.enter_context(mock.patch.object(aggregators, "nnm_mix", counted(loop_nnm_mix)))
+        yield calls
+
+
+def assert_ran(calls: Counter, *references) -> None:
+    missing = [ref.__name__ for ref in references if calls[ref.__name__] == 0]
+    assert not missing, f"loop references not reached: {missing}"
+
+
+KRUM_REFERENCES = (loop_pairwise_sq_distances, loop_neighbor_order)
+PRODIGY_REFERENCES = KRUM_REFERENCES + (loop_dissimilarity_scores,)
 
 
 def prodigy_outcome(g, p):
@@ -161,26 +188,28 @@ def assert_kernels_exact(vectors: np.ndarray) -> None:
     g = GradientSet(vectors)
     n = g.n_clients
 
-    entries = pairwise_sq_distances(g).entries
-    assert same_bits(entries, loop_pairwise_sq_distances(g).entries)
-    order = neighbor_order(DistanceMatrix(entries))
-    expected = loop_neighbor_order(DistanceMatrix(entries))
+    entries = pairwise_sq_distances(g)
+    assert same_bits(entries, loop_pairwise_sq_distances(g))
+    order = neighbor_order(entries)
+    expected = loop_neighbor_order(entries)
     assert np.array_equal(order.indices, expected.indices)
     assert same_bits(order.distances, expected.distances)
 
     for f in range(n):
         assert same_bits(nnm_mix(g, f).vectors, loop_nnm_mix(g, f).vectors)
     for f in range(n - 2):
-        with loop_kernels():
+        with loop_kernels() as calls:
             reference = krum(g, f)
+        assert_ran(calls, *KRUM_REFERENCES)
         assert same_bits(krum(g, f), reference)
     for f in range(1, (n + 1) // 2):
         p = ProdigyParams(n, f)
         assert same_bits(
             dissimilarity_scores(g, order, p), loop_dissimilarity_scores(g, order, p)
         )
-        with loop_kernels():
+        with loop_kernels() as calls:
             ref_vector, ref_parts, ref_threshold = prodigy_outcome(g, p)
+        assert_ran(calls, *PRODIGY_REFERENCES)
         vector, parts, threshold = prodigy_outcome(g, p)
         assert (vector is None) == (ref_vector is None)
         if vector is not None:
@@ -267,7 +296,7 @@ def test_wide_path_with_a_zero_distance_non_copy_between_copies():
     assert ((a + b) + a)[0] != ((a + a) + b)[0]
     others = rng.standard_normal((3, 6))
     with wide_path():
-        assert pairwise_sq_distances(GradientSet(np.array([a, b]))).entries[0, 1] == 0.0
+        assert pairwise_sq_distances(GradientSet(np.array([a, b])))[0, 1] == 0.0
         assert_kernels_exact(np.array([a, b, a]))
         assert_kernels_exact(np.vstack([[a, b, a], others, [b, a]]))
 
@@ -281,7 +310,7 @@ def test_wide_path_computes_the_distances_of_a_zero_distance_non_copy():
     b[0] += np.ldexp(1.0, -540)
     c[0] += np.ldexp(1.0, -500)
     vectors = np.array([a, b, a, c])
-    entries = loop_pairwise_sq_distances(GradientSet(vectors)).entries
+    entries = loop_pairwise_sq_distances(GradientSet(vectors))
     assert entries[0, 1] == 0.0 and entries[0, 3] != entries[1, 3]
     with wide_path():
         assert_kernels_exact(vectors)
@@ -382,7 +411,7 @@ def test_distance_tiles_on_an_underflowing_non_copy():
     assert vectors[5, 0] != vectors[1, 0]
     assert vectors[5].sum() == vectors[1].sum()
     with tiles_of(3, 16):
-        assert pairwise_sq_distances(GradientSet(vectors)).entries[1, 5] == 0.0
+        assert pairwise_sq_distances(GradientSet(vectors))[1, 5] == 0.0
         assert np.array_equal(geometry.equal_rows(vectors)[[1, 5, 8]], [1, 5, 1])
         assert_kernels_exact(vectors)
 
@@ -394,7 +423,7 @@ def test_distance_tiles_on_overflowing_distances(rows):
     vectors = rng.standard_normal((10, 8))
     vectors[[3, 9]] = vectors[6]
     vectors *= 1e200
-    entries = loop_pairwise_sq_distances(GradientSet(vectors)).entries
+    entries = loop_pairwise_sq_distances(GradientSet(vectors))
     assert np.isinf(entries).sum() > 50
     with tiles_of(rows, 8), np.errstate(over="ignore", invalid="ignore"):
         assert_kernels_exact(vectors)
@@ -415,7 +444,7 @@ def test_equal_rows_group_copies_whose_sums_overflow():
         assert np.isnan(sums[[0, 2, 3]]).all() and np.isinf(sums[[1, 4]]).all()
         assert geometry.wide_set(g)
         assert np.array_equal(geometry.equal_rows(vectors), [0, 1, 2, 0, 1, 5, 6])
-        assert same_bits(pairwise_sq_distances(g).entries, loop_pairwise_sq_distances(g).entries)
+        assert same_bits(pairwise_sq_distances(g), loop_pairwise_sq_distances(g))
 
 
 def test_kernels_match_loops_at_wide_scale():
@@ -427,10 +456,10 @@ def test_kernels_match_loops_at_wide_scale():
     g = GradientSet(np.vstack([np.tile(byz, (f, 1)), honest]))
     assert f * d * 8 > GATHER_BYTES
 
-    entries = pairwise_sq_distances(g).entries
-    assert np.array_equal(entries, loop_pairwise_sq_distances(g).entries)
-    order = neighbor_order(DistanceMatrix(entries))
-    expected = loop_neighbor_order(DistanceMatrix(entries))
+    entries = pairwise_sq_distances(g)
+    assert np.array_equal(entries, loop_pairwise_sq_distances(g))
+    order = neighbor_order(entries)
+    expected = loop_neighbor_order(entries)
     assert np.array_equal(order.indices, expected.indices)
     assert np.array_equal(order.distances, expected.distances)
     p = ProdigyParams(n, f)
@@ -439,9 +468,13 @@ def test_kernels_match_loops_at_wide_scale():
     )
     assert np.array_equal(nnm_mix(g, f).vectors, loop_nnm_mix(g, f).vectors)
 
-    for spec in (AggregatorSpec("prodigy"), AggregatorSpec("krum", nnm_enabled=True)):
-        with loop_kernels():
+    for spec, references in (
+        (AggregatorSpec("prodigy"), PRODIGY_REFERENCES),
+        (AggregatorSpec("krum", nnm_enabled=True), KRUM_REFERENCES + (loop_nnm_mix,)),
+    ):
+        with loop_kernels() as calls:
             reference = Aggregator(spec, n, f)(g)
+        assert_ran(calls, *references)
         result = Aggregator(spec, n, f)(g)
         assert np.array_equal(result.vector, reference.vector)
         if result.trust is not None:
@@ -452,17 +485,17 @@ def test_kernels_match_loops_at_wide_scale():
 @given(st.integers(1, 6), st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_batched_stats_equal_separate_calls(b, m, d, seed):
     batch = np.random.default_rng(seed).standard_normal((b, m, d)) * 10.0
-    stats = vector_set_stats(batch)
-    assert stats.mean.shape == (b, d)
-    assert stats.spread.shape == (b,)
+    means, spreads = vector_set_stats(batch)
+    assert means.shape == (b, d)
+    assert spreads.shape == (b,)
     for i in range(b):
-        single = vector_set_stats(batch[i])
-        assert isinstance(single.spread, float)
-        assert np.array_equal(stats.mean[i], single.mean)
-        assert stats.spread[i] == single.spread
+        single_mean, single_spread = vector_set_stats(batch[i])
+        assert isinstance(single_spread, float)
+        assert np.array_equal(means[i], single_mean)
+        assert spreads[i] == single_spread
         mean, spread = loop_vector_set_stats(batch[i])
-        assert np.array_equal(single.mean, mean)
-        assert single.spread == spread
+        assert np.array_equal(single_mean, mean)
+        assert single_spread == spread
 
 
 # --- attack search: shared candidate sets against fresh mixed sets ----------
@@ -522,7 +555,7 @@ def assert_search_exact(honest: GradientSet, byz_ids, candidates=None) -> dict:
         fresh = loop_mixed_set(honest, byz_ids, vec)
         assert np.array_equal(g.vectors, fresh.vectors)
         assert np.array_equal(g.client_ids, fresh.client_ids)
-        assert np.array_equal(g.distances().entries, pairwise_sq_distances(fresh).entries)
+        assert np.array_equal(g.distances(), pairwise_sq_distances(fresh))
     reference = honest.vectors.mean(axis=0)
     state = AggregatorState(0.5 * reference)
     found = {}

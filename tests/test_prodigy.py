@@ -28,8 +28,6 @@ def test_params_invariants():
         ProdigyParams(5, 0)
     with pytest.raises(ValueError):
         ProdigyParams(6, 3)  # f < N/2 must be strict
-    with pytest.raises(ValueError):
-        ProdigyParams(5, 2, epsilon_guard=0.0)
 
 
 def test_proximity_worked_example():
@@ -39,7 +37,7 @@ def test_proximity_worked_example():
 
 def test_proximity_identical_updates_hits_guard():
     vectors = np.tile(np.array([2.0, -1.0]), (5, 1))
-    scores = proximity_scores(_order(vectors), ProdigyParams(5, 2, epsilon_guard=1e-12))
+    scores = proximity_scores(_order(vectors), ProdigyParams(5, 2))
     assert np.allclose(scores, 1e12)
     assert np.all(np.isfinite(scores))
 
