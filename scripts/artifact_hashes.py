@@ -5,9 +5,10 @@ and of the wide-set kernels' outputs.
 Runs the 126 criterion-7 cells (``sweep.CRIT7_*``) and the determinism
 config of ``verification`` at seeds 7 and 8, through ``sweep.run_sweep``,
 and maps each cell to the hashes of its two artifacts. The grid's sets are
-N=10, so it also calls ``pairwise_sq_distances`` and the 7 criterion-7
-defenses directly on fixed N=100, d=10 000 sets, which take the wide path,
-and hashes the distances, each aggregate and prodigy's scores. It prints
+N=10, so it also calls ``pairwise_sq_distances``, ``nnm_mix`` and the 7
+criterion-7 defenses directly on fixed N=100, d=10 000 sets, which take the
+wide path, and hashes the distances, the mixed set, each aggregate and
+prodigy's scores. It prints
 one JSON object. A change that must keep results bit for bit prints the
 same object as its parent:
 
@@ -27,7 +28,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from robustfed.aggregators import Aggregator, AggregatorSpec, AggregatorState
+from robustfed.aggregators import Aggregator, AggregatorSpec, AggregatorState, nnm_mix
 from robustfed.geometry import GradientSet, pairwise_sq_distances
 from robustfed.prodigy import DegenerateRoundError
 from robustfed.sweep import (
@@ -65,9 +66,17 @@ def wide_sets() -> dict[str, np.ndarray]:
     copies of the ALIE vector (honest mean - std) at rows 0..f-1 or at
     scattered rows, or that vector plus small distinct noise per row.
 
-    In the last set the copies hold 0.0 in one coordinate, and a row among
-    them holds 1e-170 there instead: its distance to them underflows to 0,
-    yet it is no copy, so the copies must not share their results."""
+    In the last two sets a row among the copies differs from them in one
+    coordinate only, by so little that its distance to them underflows to
+    0, yet it is no copy, so the copies must not share their results:
+    - ``zero_distance_non_copy``: the copies hold 0.0 there and the row
+      1e-170, which vanishes in every sum beside O(1) values, so sharing or
+      not gives the same bits; it shows only that refusing keeps the bits.
+    - ``order_sensitive_non_copy``: the copies 0 and 2 hold a there and row
+      1 holds b, both near 2^-600, and every other row 0.0. (a + b) + a and
+      (a + a) + b differ even after the division by N - f, so copies 0 and
+      2 mix to different rows, and the mixed set's hash shows a wrong share.
+    """
     rng = np.random.default_rng(2024)
     honest = 0.5 * rng.standard_normal(WIDE_D) + rng.standard_normal((WIDE_N - WIDE_F, WIDE_D))
     alie = honest.mean(axis=0) - honest.std(axis=0)
@@ -78,11 +87,15 @@ def wide_sets() -> dict[str, np.ndarray]:
     near = zeroed.copy()
     near[0] = 1e-170
     half = np.tile(zeroed, (WIDE_F // 2, 1))
+    ordered = copies.copy()
+    ordered[:, 0] = 0.0
+    ordered[:3, 0] = np.ldexp([4578033480578095.0, 4578033480578096.0, 4578033480578095.0], -600)
     return {
         "copies_first": copies,
         "copies_scattered": copies[rng.permutation(WIDE_N)],
         "copy_free": noisy,
         "zero_distance_non_copy": np.vstack([half, near, half, honest[1:]]),
+        "order_sensitive_non_copy": ordered,
     }
 
 
@@ -91,6 +104,7 @@ def wide_hashes() -> dict[str, dict[str, str]]:
     for name, vectors in wide_sets().items():
         g = GradientSet(vectors)
         hashes[f"wide/{name}/distances"] = {"entries": digest(pairwise_sq_distances(g))}
+        hashes[f"wide/{name}/nnm_mix"] = {"mixed": digest(nnm_mix(g, WIDE_F).vectors)}
         for label, defense in CRIT7_DEFENSES:
             spec = AggregatorSpec(defense["kind"], nnm_enabled=defense.get("nnm", False))
             state = AggregatorState(vectors[WIDE_F:].mean(axis=0))  # cclip's warm start

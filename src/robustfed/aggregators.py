@@ -183,7 +183,7 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
             for j in order.indices[k, : n - f - 1].tolist():
                 np.add(row, g.vectors[j], out=row)
             row /= n - f
-    return GradientSet(mixed, g.client_ids.copy())
+    return GradientSet(mixed)
 
 
 # Per kind, the rule applied to the (mixed) set. Each entry looks its rule up

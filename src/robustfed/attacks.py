@@ -17,6 +17,8 @@ from .geometry import GradientSet, pairwise_sq_distances
 from .prodigy import DegenerateRoundError
 
 ATTACK_KINDS = ("none", "alie", "foe", "sign_flip", "label_flip")
+# the kinds whose byzantine updates come from local training, with no search
+LOCAL_ATTACK_KINDS = ("none", "sign_flip", "label_flip")
 
 DefenseHandle = Callable[[GradientSet], np.ndarray]
 
@@ -48,9 +50,14 @@ class AttackSpec:
 
 def honest_summary(honest: GradientSet) -> tuple[np.ndarray, np.ndarray]:
     """Unweighted per-coordinate mean and population std of the honest updates."""
-    if honest.n_clients < 1:
-        raise ValueError("need at least one honest client")
     return honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
+
+
+# Smallest z the ALIE search takes. Its grid holds floor(8 / z) candidates
+# and each one runs the whole defense every round, so z = 0.1 (80 candidates,
+# ten times the z = 1 grid) bounds a searched round's cost; z = 1e-6 would
+# list 8 000 000 candidates.
+ALIE_MIN_Z = 0.1
 
 
 def alie_candidates(z: float) -> list[float]:
@@ -59,8 +66,8 @@ def alie_candidates(z: float) -> list[float]:
     A literal reading makes the grid empty when 0.25z already exceeds 2; in
     that corner the grid collapses to the single capped value 2.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not z >= ALIE_MIN_Z:
+        raise ValueError(f"z must be at least {ALIE_MIN_Z:g}, got {z:g}")
     grid = []
     m = 1
     while 0.25 * m * z <= 2.0:
@@ -79,7 +86,8 @@ def foe_candidates(eps: float) -> list[float]:
 
 
 class _CandidateSets:
-    """The all-N sets of one round's search, in ascending client-id order.
+    """The all-N sets of one round's search: f byzantine rows, then the
+    honest rows (the round layout, see ``GradientSet``).
 
     Candidates differ only in the f colluding rows, which all hold the same
     vector v, so every candidate set shares one (N, d) buffer: the honest rows
@@ -95,38 +103,29 @@ class _CandidateSets:
     path and can change the last bit. Hence the zero row ahead of h - v.
     """
 
-    def __init__(self, honest: GradientSet, byz_ids: np.ndarray):
-        ids = np.concatenate([honest.client_ids, byz_ids])
-        order = np.argsort(ids, kind="stable")
-        position = np.empty_like(order)
-        position[order] = np.arange(len(ids))
+    def __init__(self, honest: GradientSet, f: int):
         self.honest = honest
-        self.ids = ids[order]
-        self.honest_pos = position[: honest.n_clients]
-        self.byz_pos = position[honest.n_clients :]
-        self.vectors = np.empty((len(ids), honest.dim))
-        self.vectors[self.honest_pos] = honest.vectors
+        self.f = f
+        self.vectors = np.empty((f + honest.n_clients, honest.dim))
+        self.vectors[f:] = honest.vectors
         self.honest_block = None
         self.diff = np.zeros((honest.n_clients + 1, honest.dim))
-        self.cross_rows = np.ix_(self.byz_pos, self.honest_pos)
-        self.cross_cols = np.ix_(self.honest_pos, self.byz_pos)
 
     def __call__(self, byz_vector: np.ndarray) -> GradientSet:
-        self.vectors[self.byz_pos] = byz_vector
-        return GradientSet(self.vectors, self.ids, lambda: self.distances(byz_vector))
+        self.vectors[: self.f] = byz_vector
+        return GradientSet(self.vectors, lambda: self.distances(byz_vector))
 
     def distances(self, byz_vector: np.ndarray) -> np.ndarray:
+        f = self.f
         if self.honest_block is None:
-            n = len(self.ids)
+            n = len(self.vectors)
             self.honest_block = np.zeros((n, n))
-            self.honest_block[np.ix_(self.honest_pos, self.honest_pos)] = (
-                pairwise_sq_distances(self.honest)
-            )
+            self.honest_block[f:, f:] = pairwise_sq_distances(self.honest)
         np.subtract(self.honest.vectors, byz_vector, out=self.diff[1:])
         cross = np.einsum("ij,ij->i", self.diff, self.diff)[1:]
         entries = self.honest_block.copy()
-        entries[self.cross_rows] = cross
-        entries[self.cross_cols] = cross[:, None]
+        entries[:f, f:] = cross
+        entries[f:, :f] = cross[:, None]
         return entries
 
 
@@ -134,7 +133,7 @@ def _grid_search(
     candidates: list[float],
     make_vector: Callable[[float], np.ndarray],
     honest: GradientSet,
-    byz_ids: np.ndarray,
+    f: int,
     defense: DefenseHandle,
     reference: np.ndarray,
 ) -> np.ndarray:
@@ -145,7 +144,7 @@ def _grid_search(
     non-finite choice, which only happens when every candidate scored -inf,
     raises the mixed set's non-finite ValueError.
     """
-    sets = _CandidateSets(honest, byz_ids)
+    sets = _CandidateSets(honest, f)
     best_vec = None
     best_dev = -np.inf
     for cand in candidates:
@@ -168,29 +167,29 @@ def _grid_search(
 def craft_attack(
     spec: AttackSpec,
     honest: GradientSet,
-    byz_clients,
+    f: int,
     defense: DefenseHandle | None = None,
     byz_local: GradientSet | None = None,
 ) -> GradientSet:
-    """Produce the byzantine clients' update vectors for one round.
+    """Produce the f byzantine clients' update vectors for one round.
 
+    The defense sees each searched candidate as a round set: f copies of
+    the candidate in rows 0..f-1, then the honest rows (see ``GradientSet``).
     byz_local carries the byzantines' own locally computed updates: honest
     values for sign_flip (negated here), flipped-label values for label_flip
     (already poisoned upstream), and pass-through values for kind none.
     """
-    byz_ids = np.asarray(list(byz_clients), dtype=np.int64)
-    f = len(byz_ids)
     if f < 1:
         raise ValueError("need at least one byzantine client")
 
-    if spec.kind in ("none", "sign_flip", "label_flip"):
+    if spec.kind in LOCAL_ATTACK_KINDS:
         if byz_local is None:
             raise ValueError(f"attack {spec.kind!r} requires the byzantines' local updates")
         if byz_local.n_clients != f:
             raise ValueError("byz_local must hold exactly one update per byzantine client")
         if spec.kind == "sign_flip":
-            return GradientSet(-byz_local.vectors, byz_ids)
-        return GradientSet(byz_local.vectors.copy(), byz_ids)
+            return GradientSet(-byz_local.vectors)
+        return GradientSet(byz_local.vectors.copy())
 
     mean, std = honest_summary(honest)
     if spec.kind == "alie":
@@ -203,7 +202,7 @@ def craft_attack(
     if spec.search:
         if defense is None:
             raise ValueError("grid search needs a defense handle")
-        vec = _grid_search(grid, make_vector, honest, byz_ids, defense, mean)
+        vec = _grid_search(grid, make_vector, honest, f, defense, mean)
     else:
         vec = make_vector(grid[0])
-    return GradientSet(np.tile(vec, (f, 1)), byz_ids)
+    return GradientSet(np.tile(vec, (f, 1)))

@@ -20,7 +20,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .aggregators import Aggregator, AggregatorSpec
-from .attacks import AttackSpec
+from .attacks import ALIE_MIN_Z, AttackSpec
 from .models import ModelSpec
 
 
@@ -115,6 +115,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if cfg.attack.kind != "none" and cfg.n_byzantine < 1:
         raise ConfigError(f"attack.kind: {cfg.attack.kind!r} configured but n_byzantine=0")
+    if cfg.attack.kind == "alie" and cfg.attack.search and cfg.attack.z < ALIE_MIN_Z:
+        raise ConfigError(
+            f"attack.z: the alie search needs z >= {ALIE_MIN_Z:g}, got {cfg.attack.z:g}"
+        )
     if cfg.eval_every < 1:
         raise ConfigError("eval_every: must be at least 1")
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import AggregationResult, Aggregator, AggregatorState
-from .attacks import craft_attack
+from .attacks import LOCAL_ATTACK_KINDS, craft_attack
 from .config import ExperimentConfig, TrainSchedule, validate_config
 from .datasim import LabeledDataset, PartitionSpec, flip_labels, generate_blobs, partition
-from .geometry import GradientSet
+from .geometry import GradientSet, check_finite
 from .models import ModelSpec, evaluate, init_params, model_gradient
 from .prodigy import DegenerateRoundError, TrustScores
 from .seeding import stream_id
@@ -206,15 +206,13 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     sched = cfg.schedule
     model = cfg.model
     clients, test = build_clients(cfg)
-    honest_clients = [c for c in clients if c.role == HONEST]
-    byz_clients = [c for c in clients if c.role == BYZANTINE]
-    honest_ids = np.array([c.client_id for c in honest_clients], dtype=np.int64)
-    byz_ids = np.array([c.client_id for c in byz_clients], dtype=np.int64)
+    f = cfg.n_byzantine
+    byz_clients, honest_clients = clients[:f], clients[f:]  # the round layout
 
     aggregator = Aggregator(cfg.defense, cfg.n_clients, cfg.n_byzantine)
     state = AggregatorState()
     theta = init_params(model, stream_id(cfg.seed, "init"))
-    local_attack = cfg.attack.kind in ("none", "sign_flip", "label_flip")
+    local_attack = cfg.attack.kind in LOCAL_ATTACK_KINDS
     # honest clients first: their updates, and errors, come before the byzantines'
     local_clients = honest_clients + (byz_clients if local_attack else [])
 
@@ -225,30 +223,26 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
 
         start = time.perf_counter()
         updates = client_update(model, theta, local_clients, sched, t)
-        for client, g in zip(honest_clients, updates):
-            if sched.momentum > 0:
-                g = apply_momentum(client, g, sched.momentum)
-            sent[client.client_id] = g
-        local = None
-        if byz_clients and local_attack:
-            local = GradientSet(updates[len(honest_clients) :], byz_ids)
+        sent[f:] = updates[: len(honest_clients)]
+        if sched.momentum > 0:
+            for client, row in zip(honest_clients, sent[f:]):
+                row[:] = apply_momentum(client, row, sched.momentum)
+        local = GradientSet(updates[len(honest_clients) :]) if f and local_attack else None
         client_ms = (time.perf_counter() - start) * 1e3
 
         attack_ms = 0.0
-        if byz_clients:
+        if f:
             start = time.perf_counter()
-            honest_set = GradientSet(sent[honest_ids], honest_ids)
+            check_finite(sent[f:], f)  # name the client, not its row in the honest set
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
-            crafted = craft_attack(cfg.attack, honest_set, byz_ids, defense, byz_local=local)
-            # omniscient attacks send their crafted vectors as-is
-            for i, client in enumerate(byz_clients):
-                v = crafted.vectors[i]
-                if local_attack and sched.momentum > 0:
-                    v = apply_momentum(client, v, sched.momentum)
-                sent[client.client_id] = v
+            crafted = craft_attack(cfg.attack, GradientSet(sent[f:]), f, defense, byz_local=local)
+            sent[:f] = crafted.vectors
+            if local_attack and sched.momentum > 0:  # omniscient attacks send theirs as-is
+                for client, row in zip(byz_clients, sent[:f]):
+                    row[:] = apply_momentum(client, row, sched.momentum)
             attack_ms = (time.perf_counter() - start) * 1e3
 
-        mixed = GradientSet(sent, np.arange(cfg.n_clients))
+        mixed = GradientSet(sent)
         start = time.perf_counter()
         degenerate = False
         try:

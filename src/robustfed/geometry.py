@@ -39,7 +39,14 @@ GATHER_BYTES = 1 << 20
 
 @dataclass
 class GradientSet:
-    """N client update vectors of dimension d, in client-id order.
+    """N client update vectors of dimension d, one row per client.
+
+    A round set holds the f byzantine clients in rows 0..f-1 and the
+    honest clients after them, in id order. Byzantine roles go to the
+    lowest ids, so row k is client k. The rules are permutation-equivariant
+    up to ties, which break by row index, so the layout is one fixed
+    convention. A non-finite component is an error naming its row as the
+    client (``check_finite``).
 
     ``distances`` optionally supplies the set's (N, N) pairwise squared
     distances, which must equal ``pairwise_sq_distances`` of this set bit for
@@ -49,7 +56,6 @@ class GradientSet:
     """
 
     vectors: np.ndarray
-    client_ids: np.ndarray | None = None
     distances: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -59,18 +65,7 @@ class GradientSet:
         n, d = self.vectors.shape
         if n < 1 or d < 1:
             raise ValueError(f"need N >= 1 and d >= 1, got N={n}, d={d}")
-        if self.client_ids is None:
-            self.client_ids = np.arange(n)
-        else:
-            self.client_ids = np.asarray(self.client_ids, dtype=np.int64)
-        if self.client_ids.shape != (n,):
-            raise ValueError("client_ids must have one entry per vector")
-        if len(set(self.client_ids.tolist())) != n:
-            raise ValueError("client_ids must be distinct")
-        finite_rows = np.isfinite(self.vectors).all(axis=1)
-        if not finite_rows.all():
-            bad = int(self.client_ids[int(np.argmin(finite_rows))])
-            raise ValueError(f"non-finite update component from client {bad}")
+        check_finite(self.vectors)
 
     @property
     def n_clients(self) -> int:
@@ -79,6 +74,15 @@ class GradientSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+
+def check_finite(vectors: np.ndarray, first_client: int = 0) -> None:
+    """Raise a ValueError naming the client of the first row with a
+    non-finite component; row k is client ``first_client + k``."""
+    finite_rows = np.isfinite(vectors).all(axis=1)
+    if not finite_rows.all():
+        bad = first_client + int(np.argmin(finite_rows))
+        raise ValueError(f"non-finite update component from client {bad}")
 
 
 @dataclass

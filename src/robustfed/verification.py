@@ -16,6 +16,7 @@ import numpy as np
 
 from . import oracles
 from .aggregators import (
+    AGGREGATOR_KINDS,
     Aggregator,
     AggregatorSpec,
     AggregatorState,
@@ -311,15 +312,9 @@ def check_gradient_finite_differences(pairs: int = 100) -> CheckResult:
 
 
 def _search_defenses(n: int, f: int) -> list[tuple[str, Aggregator]]:
-    kinds = ("average", "median", "trimmed_mean", "geomed", "krum", "cclip", "prodigy")
-    out = []
-    for kind in kinds:
-        out.append((kind, Aggregator(AggregatorSpec(kind=kind), n, f)))
-    for kind in kinds:
-        if kind != "prodigy":
-            spec = AggregatorSpec(kind=kind, nnm_enabled=True)
-            out.append((spec.label(), Aggregator(spec, n, f)))
-    return out
+    specs = [AggregatorSpec(kind=kind) for kind in AGGREGATOR_KINDS]
+    specs += [AggregatorSpec(kind, nnm_enabled=True) for kind in AGGREGATOR_KINDS if kind != "prodigy"]
+    return [(spec.label(), Aggregator(spec, n, f)) for spec in specs]
 
 
 def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
@@ -334,18 +329,14 @@ def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
             state = AggregatorState()
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
             for _ in range(rounds_per_defense):
-                honest = GradientSet(
-                    rng.standard_normal((n - f, d)), np.arange(f, n, dtype=np.int64)
-                )
-                byz_ids = np.arange(f, dtype=np.int64)
-                crafted = craft_attack(attack, honest, byz_ids, defense)
+                honest = GradientSet(rng.standard_normal((n - f, d)))
+                crafted = craft_attack(attack, honest, f, defense)
                 mean, std = honest_summary(honest)
 
                 def deviation(vec):
-                    ids = np.concatenate([byz_ids, honest.client_ids])
                     stacked = np.vstack([np.tile(vec, (f, 1)), honest.vectors])
                     try:
-                        agg = defense(GradientSet(stacked, ids))
+                        agg = defense(GradientSet(stacked))
                     except DegenerateRoundError:
                         return -np.inf
                     return float(np.linalg.norm(agg - mean))

@@ -118,7 +118,7 @@ def test_krum_selects_an_input_and_all_tie_case():
     vectors = rng.standard_normal((6, 3))
     out = krum(GradientSet(vectors), 2)
     assert any(np.array_equal(out, v) for v in vectors)
-    constant = GradientSet(np.tile(np.array([4.0, 4.0]), (5, 1)), np.arange(5))
+    constant = GradientSet(np.tile(np.array([4.0, 4.0]), (5, 1)))
     assert krum(constant, 1).tolist() == [4.0, 4.0]
     with pytest.raises(ValueError):
         krum(GradientSet(SCALARS), 3)

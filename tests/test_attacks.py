@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from robustfed.aggregators import average
 from robustfed.attacks import (
+    ALIE_MIN_Z,
+    LOCAL_ATTACK_KINDS,
     AttackSpec,
     alie_candidates,
     craft_attack,
@@ -41,6 +43,9 @@ def test_alie_grids():
     assert alie_candidates(1.0) == [0.25 * m for m in range(1, 9)]
     assert alie_candidates(8.0) == [2.0]
     assert alie_candidates(9.0) == [2.0]  # literal grid would be empty; capped singleton
+    assert len(alie_candidates(ALIE_MIN_Z)) == 80
+    with pytest.raises(ValueError, match="z must be at least 0.1"):
+        alie_candidates(1e-12)  # 8e12 candidates, each a whole defense per round
 
 
 def test_foe_grid():
@@ -55,32 +60,31 @@ def _avg_defense(gs: GradientSet) -> np.ndarray:
 
 
 def test_sign_flip_negates_local():
-    local = GradientSet(np.array([[3.0]]), np.array([0]))
-    honest = GradientSet(np.array([[1.0], [2.0]]), np.array([1, 2]))
-    crafted = craft_attack(AttackSpec(kind="sign_flip"), honest, [0], _avg_defense, local)
+    local = GradientSet(np.array([[3.0]]))
+    honest = GradientSet(np.array([[1.0], [2.0]]))
+    crafted = craft_attack(AttackSpec(kind="sign_flip"), honest, 1, _avg_defense, local)
     assert crafted.vectors.tolist() == [[-3.0]]
 
 
 def test_label_flip_and_none_pass_through():
-    local = GradientSet(np.array([[3.0], [4.0]]), np.array([0, 1]))
-    honest = GradientSet(np.array([[1.0], [2.0], [5.0]]), np.array([2, 3, 4]))
+    local = GradientSet(np.array([[3.0], [4.0]]))
+    honest = GradientSet(np.array([[1.0], [2.0], [5.0]]))
     for kind in ("label_flip", "none"):
-        crafted = craft_attack(AttackSpec(kind=kind), honest, [0, 1], _avg_defense, local)
+        crafted = craft_attack(AttackSpec(kind=kind), honest, 2, _avg_defense, local)
         assert np.array_equal(crafted.vectors, local.vectors)
-        assert crafted.client_ids.tolist() == [0, 1]
 
 
 def test_local_attacks_require_byz_updates():
-    honest = GradientSet(np.array([[1.0], [2.0]]), np.array([1, 2]))
-    for kind in ("sign_flip", "label_flip", "none"):
+    honest = GradientSet(np.array([[1.0], [2.0]]))
+    for kind in LOCAL_ATTACK_KINDS:
         with pytest.raises(ValueError):
-            craft_attack(AttackSpec(kind=kind), honest, [0], _avg_defense)
+            craft_attack(AttackSpec(kind=kind), honest, 1, _avg_defense)
 
 
 def test_foe_without_search_uses_eps_directly():
-    honest = GradientSet(np.array([[1.0], [3.0]]), np.array([1, 2]))
+    honest = GradientSet(np.array([[1.0], [3.0]]))
     spec = AttackSpec(kind="foe", eps=0.1, search=False)
-    crafted = craft_attack(spec, honest, [0], _avg_defense)
+    crafted = craft_attack(spec, honest, 1, _avg_defense)
     assert crafted.vectors.tolist() == [[-0.2]]
 
 
@@ -88,29 +92,29 @@ def test_alie_grid_argmax_against_average():
     # honest scalars {1, 3}: mean 2, std 1; candidate aggregates are 2 - z*/3,
     # so the deviation |z*/3| peaks at the largest grid value z* = 2 and the
     # byzantine ends up sending mean - 2*std = 0
-    honest = GradientSet(np.array([[1.0], [3.0]]), np.array([1, 2]))
-    crafted = craft_attack(AttackSpec(kind="alie", z=2.0), honest, [0], _avg_defense)
+    honest = GradientSet(np.array([[1.0], [3.0]]))
+    crafted = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
     assert crafted.vectors.tolist() == [[0.0]]
 
 
 def test_colluders_send_identical_vectors():
     rng = np.random.default_rng(5)
-    honest = GradientSet(rng.standard_normal((5, 3)), np.arange(3, 8))
+    honest = GradientSet(rng.standard_normal((5, 3)))
     for spec in (AttackSpec(kind="alie", z=1.0), AttackSpec(kind="foe", eps=100.0)):
-        crafted = craft_attack(spec, honest, [0, 1, 2], _avg_defense)
+        crafted = craft_attack(spec, honest, 3, _avg_defense)
         assert crafted.vectors.shape == (3, 3)
         assert np.array_equal(crafted.vectors[0], crafted.vectors[1])
         assert np.array_equal(crafted.vectors[0], crafted.vectors[2])
 
 
 def test_search_needs_defense_handle():
-    honest = GradientSet(np.array([[1.0], [3.0]]), np.array([1, 2]))
+    honest = GradientSet(np.array([[1.0], [3.0]]))
     with pytest.raises(ValueError):
-        craft_attack(AttackSpec(kind="alie", z=1.0), honest, [0], defense=None)
+        craft_attack(AttackSpec(kind="alie", z=1.0), honest, 1, defense=None)
 
 
 def test_degenerate_defense_rounds_score_minus_inf():
-    honest = GradientSet(np.array([[1.0], [3.0]]), np.array([1, 2]))
+    honest = GradientSet(np.array([[1.0], [3.0]]))
     calls = []
 
     def defense(gs: GradientSet) -> np.ndarray:
@@ -120,18 +124,18 @@ def test_degenerate_defense_rounds_score_minus_inf():
             raise DegenerateRoundError(None)
         return average(gs)
 
-    crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, [0], defense)
+    crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     # only the non-degenerate grid point (the last, eps* = eps) can be chosen
     assert crafted.vectors.tolist() == [[-0.2]]
 
 
 def test_all_degenerate_still_returns_a_vector():
-    honest = GradientSet(np.array([[1.0], [3.0]]), np.array([1, 2]))
+    honest = GradientSet(np.array([[1.0], [3.0]]))
 
     def defense(gs: GradientSet) -> np.ndarray:
         raise DegenerateRoundError(None)
 
-    crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, [0], defense)
+    crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     assert crafted.vectors.shape == (1, 1)
     # falls back to the first grid point
     assert crafted.vectors[0, 0] == pytest.approx(-0.02, abs=1e-15)
@@ -141,17 +145,14 @@ def test_all_degenerate_still_returns_a_vector():
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["alie", "foe"]))
 def test_search_optimality_exhaustive(seed, kind):
     rng = np.random.default_rng(seed)
-    honest = GradientSet(rng.standard_normal((6, 3)), np.arange(2, 8))
-    byz_ids = np.array([0, 1])
+    honest = GradientSet(rng.standard_normal((6, 3)))
     spec = AttackSpec(kind=kind, z=1.0, eps=0.5)
-    crafted = craft_attack(spec, honest, byz_ids, _avg_defense)
+    crafted = craft_attack(spec, honest, 2, _avg_defense)
     mean, std = honest_summary(honest)
 
     def deviation(vec):
-        ids = np.concatenate([byz_ids, honest.client_ids])
         stacked = np.vstack([np.tile(vec, (2, 1)), honest.vectors])
-        order = np.argsort(ids)
-        return float(np.linalg.norm(_avg_defense(GradientSet(stacked[order], ids[order])) - mean))
+        return float(np.linalg.norm(_avg_defense(GradientSet(stacked)) - mean))
 
     grid = (
         [mean - zv * std for zv in alie_candidates(1.0)]
@@ -165,7 +166,7 @@ def test_search_optimality_exhaustive(seed, kind):
 def test_non_finite_candidates_score_minus_inf():
     # FoE at eps=100 against an honest mean of 1e307: only the first grid
     # point, -1e308, is finite; the others overflow and must not abort
-    honest = GradientSet(np.array([[1e307], [1e307]]), np.array([1, 2]))
+    honest = GradientSet(np.array([[1e307], [1e307]]))
     calls = []
 
     def defense(gs: GradientSet) -> np.ndarray:
@@ -173,16 +174,16 @@ def test_non_finite_candidates_score_minus_inf():
         return average(gs)
 
     with np.errstate(over="ignore"):
-        crafted = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, [0], defense)
+        crafted = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
     assert crafted.vectors.tolist() == [[-1e308]]
     assert len(calls) == 1
 
 
 def test_non_finite_choice_raises_the_mixed_set_error():
     # every FoE grid point overflows, so the chosen first point is non-finite;
-    # the error names the lowest byzantine id, as the mixed set's check does
-    honest = GradientSet(np.array([[1.7e308]]), np.array([1]))
+    # the error names the first byzantine row, as the mixed set's check does
+    honest = GradientSet(np.array([[1.7e308]]))
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match="non-finite update component from client 0"
     ):
-        craft_attack(AttackSpec(kind="foe", eps=100.0), honest, [2, 0], _avg_defense)
+        craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 2, _avg_defense)

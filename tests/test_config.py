@@ -1,5 +1,6 @@
 import pytest
 
+from robustfed.attacks import ALIE_MIN_Z
 from robustfed.config import (
     ConfigError,
     config_from_dict,
@@ -58,6 +59,18 @@ def test_negative_trim_count_rejected_with_path():
 def test_attack_without_byzantines_rejected():
     with pytest.raises(ConfigError, match="n_byzantine=0"):
         parse_config('{"n_clients": 10, "n_byzantine": 0, "attack": {"kind": "alie"}}')
+
+
+def test_searched_alie_z_below_its_bound_rejected_with_path():
+    """Each ALIE grid point runs the whole defense every round, and the grid
+    holds floor(8 / z) of them, so a searched z below ALIE_MIN_Z is refused;
+    without the search one point is used, whatever z."""
+    doc = '{{"n_clients": 10, "n_byzantine": 3, "attack": {{"kind": "alie", "z": {z}{search}}}}}'
+    for z in ("1e-6", "1e-12", "0.09"):
+        with pytest.raises(ConfigError, match="attack.z: the alie search needs z >= 0.1"):
+            parse_config(doc.format(z=z, search=""))
+        assert parse_config(doc.format(z=z, search=', "search": false')).attack.z == float(z)
+    assert parse_config(doc.format(z=ALIE_MIN_Z, search="")).attack.z == ALIE_MIN_Z
 
 
 def test_model_data_dimension_mismatch_rejected():

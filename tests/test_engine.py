@@ -213,9 +213,8 @@ def test_mean_preserving_injection_trajectory():
     trajectory identical to honest-mean SGD with the same streams."""
     cfg = small_config(n_byzantine=2, attack={"kind": "sign_flip"})
 
-    def send_honest_mean(spec, honest, byz_clients, defense=None, byz_local=None):
-        mean = honest.vectors.mean(axis=0)
-        return GradientSet(np.tile(mean, (len(byz_clients), 1)), np.asarray(byz_clients))
+    def send_honest_mean(spec, honest, f, defense=None, byz_local=None):
+        return GradientSet(np.tile(honest.vectors.mean(axis=0), (f, 1)))
 
     original = engine_mod.craft_attack
     engine_mod.craft_attack = send_honest_mean
@@ -303,6 +302,25 @@ def test_non_finite_aggregate_freezes_model_and_flags_record(monkeypatch):
     assert [rec.test_accuracy for rec in result.records] == [
         rec.test_accuracy for rec in skipped.records
     ]
+
+
+@pytest.mark.parametrize(
+    "f, attack", [(0, "none"), (2, "alie"), (2, "sign_flip")], ids=["no-byzantine", "searched", "local"]
+)
+def test_non_finite_honest_update_names_its_client(monkeypatch, f, attack):
+    """A NaN update from honest client 5 aborts the run with an error naming
+    client 5, not its row in the honest set."""
+    cfg = small_config(n_byzantine=f, attack={"kind": attack})
+    original = engine_mod.client_update
+
+    def nan_for_client_5(spec, theta, clients, sched, round_idx):
+        updates = original(spec, theta, clients, sched, round_idx)
+        updates[[c.client_id for c in clients].index(5)] = np.nan
+        return updates
+
+    monkeypatch.setattr(engine_mod, "client_update", nan_for_client_5)
+    with pytest.raises(ValueError, match="non-finite update component from client 5$"):
+        run_training(cfg)
 
 
 def test_run_training_determinism():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from robustfed.geometry import (
     GradientSet,
+    check_finite,
     neighbor_order,
     pairwise_sq_distances,
     vector_set_stats,
@@ -42,9 +43,13 @@ def test_pairwise_identical_vectors():
 
 
 def test_nonfinite_input_names_client():
+    """Row k is client k in a round set; a block starting at client 5 names
+    its row 1 as client 6."""
     vectors = np.array([[0.0], [np.nan], [2.0]])
-    with pytest.raises(ValueError, match="client 7"):
-        GradientSet(vectors, client_ids=np.array([5, 7, 9]))
+    with pytest.raises(ValueError, match="client 1$"):
+        GradientSet(vectors)
+    with pytest.raises(ValueError, match="client 6$"):
+        check_finite(vectors, first_client=5)
 
 
 @settings(max_examples=150, deadline=None)

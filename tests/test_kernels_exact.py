@@ -28,6 +28,7 @@ from robustfed.aggregators import (
     nnm_mix,
 )
 from robustfed.attacks import (
+    LOCAL_ATTACK_KINDS,
     _CandidateSets,
     _grid_search,
     alie_candidates,
@@ -119,7 +120,7 @@ def loop_nnm_mix(g: GradientSet, f: int) -> GradientSet:
     for k in range(n):
         members = np.concatenate(([k], order.indices[k, : n - f - 1]))
         mixed[k] = g.vectors[members].mean(axis=0)
-    return GradientSet(mixed, g.client_ids.copy())
+    return GradientSet(mixed)
 
 
 @contextmanager
@@ -501,14 +502,11 @@ def test_batched_stats_equal_separate_calls(b, m, d, seed):
 # --- attack search: shared candidate sets against fresh mixed sets ----------
 
 
-def loop_mixed_set(honest: GradientSet, byz_ids, byz_vector) -> GradientSet:
-    ids = np.concatenate([honest.client_ids, byz_ids])
-    vectors = np.vstack([honest.vectors, np.tile(byz_vector, (len(byz_ids), 1))])
-    order = np.argsort(ids, kind="stable")
-    return GradientSet(vectors[order], ids[order])
+def loop_mixed_set(honest: GradientSet, f, byz_vector) -> GradientSet:
+    return GradientSet(np.vstack([np.tile(byz_vector, (f, 1)), honest.vectors]))
 
 
-def loop_grid_search(candidates, make_vector, honest, byz_ids, defense, reference):
+def loop_grid_search(candidates, make_vector, honest, f, defense, reference):
     """One fresh mixed set per candidate, so every rule computes its own
     distances; returns the choice and every candidate's deviation."""
     best_vec = None
@@ -517,7 +515,7 @@ def loop_grid_search(candidates, make_vector, honest, byz_ids, defense, referenc
     for cand in candidates:
         vec = make_vector(cand)
         try:
-            agg = defense(loop_mixed_set(honest, byz_ids, vec))
+            agg = defense(loop_mixed_set(honest, f, vec))
             deviation = float(np.linalg.norm(agg - reference))
         except DegenerateRoundError:
             deviation = -np.inf
@@ -541,20 +539,18 @@ def search_candidates(honest: GradientSet) -> np.ndarray:
     return np.array(alie + foe + [honest.vectors[0]])
 
 
-def assert_search_exact(honest: GradientSet, byz_ids, candidates=None) -> dict:
+def assert_search_exact(honest: GradientSet, f: int, candidates=None) -> dict:
     """The same sets and distances per candidate, and the same choice and
     deviation per candidate for every defense defined at this N and f;
     returns each defense's deviations."""
-    byz_ids = np.asarray(byz_ids, dtype=np.int64)
     if candidates is None:
         candidates = search_candidates(honest)
-    n, f = honest.n_clients + len(byz_ids), len(byz_ids)
-    sets = _CandidateSets(honest, byz_ids)
+    n = honest.n_clients + f
+    sets = _CandidateSets(honest, f)
     for vec in candidates:
         g = sets(vec)
-        fresh = loop_mixed_set(honest, byz_ids, vec)
+        fresh = loop_mixed_set(honest, f, vec)
         assert np.array_equal(g.vectors, fresh.vectors)
-        assert np.array_equal(g.client_ids, fresh.client_ids)
         assert np.array_equal(g.distances(), pairwise_sq_distances(fresh))
     reference = honest.vectors.mean(axis=0)
     state = AggregatorState(0.5 * reference)
@@ -575,7 +571,7 @@ def assert_search_exact(honest: GradientSet, byz_ids, candidates=None) -> dict:
             deviations.append(float(np.linalg.norm(agg - reference)))
             return agg
 
-        args = (range(len(candidates)), candidates.__getitem__, honest, byz_ids)
+        args = (range(len(candidates)), candidates.__getitem__, honest, f)
         chosen = _grid_search(*args, defense, reference)
         expected, expected_devs = loop_grid_search(
             *args, lambda gs, aggregator=aggregator: aggregator(gs, state).vector, reference
@@ -586,19 +582,11 @@ def assert_search_exact(honest: GradientSet, byz_ids, candidates=None) -> dict:
     return found
 
 
-@st.composite
-def interleaved_rounds(draw):
-    """Honest rows with ties, byzantine ids scattered among the honest ids."""
-    vectors = draw(sets_with_duplicates(max_n=9, max_d=12))
-    f = draw(st.integers(1, 4))
-    ids = np.array(draw(st.permutations(range(len(vectors) + f))), dtype=np.int64)
-    return GradientSet(vectors, ids[f:]), ids[:f]
-
-
 @settings(max_examples=60, deadline=None)
-@given(interleaved_rounds())
-def test_search_matches_fresh_sets_on_interleaved_ids(round_):
-    assert_search_exact(*round_)
+@given(sets_with_duplicates(max_n=9, max_d=12), st.integers(1, 4))
+def test_search_matches_fresh_sets_on_tied_rows(vectors, f):
+    """Honest rows with ties, under 1 to 4 byzantine rows."""
+    assert_search_exact(GradientSet(vectors), f)
 
 
 @pytest.mark.parametrize("d", [1, 17, 300, 1994])
@@ -610,9 +598,7 @@ def test_search_matches_fresh_sets_on_interleaved_ids(round_):
 def test_search_matches_fresh_sets_at_boundaries(n, f, d):
     """f = 1, N = 2f+1, N - f = 1 (one honest row) and the criterion-7 shape."""
     rng = np.random.default_rng(n * 10_000 + f * 1000 + d)
-    ids = rng.permutation(n)
-    honest = GradientSet(rng.standard_normal((n - f, d)), ids[f:])
-    assert_search_exact(honest, ids[:f])
+    assert_search_exact(GradientSet(rng.standard_normal((n - f, d))), f)
 
 
 @pytest.mark.parametrize("n, f", [(2, 1), (4, 3)])
@@ -620,37 +606,35 @@ def test_search_matches_fresh_sets_with_one_honest_row_at_wide_d(n, f):
     """At d=10 000 a one-row einsum sums in another order than a row of a
     larger one, so the one honest distance row must not be reduced alone."""
     rng = np.random.default_rng(n)
-    ids = rng.permutation(n)
-    honest = GradientSet(rng.standard_normal((1, 10_000)), ids[f:])
-    assert_search_exact(honest, ids[:f], rng.standard_normal((3, 10_000)))
+    honest = GradientSet(rng.standard_normal((1, 10_000)))
+    assert_search_exact(honest, f, rng.standard_normal((3, 10_000)))
 
 
 def test_search_matches_fresh_sets_on_duplicated_honest_rows():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((3, 40))
-    honest = GradientSet(rows[[0, 1, 0, 2, 1, 0, 2]], np.array([1, 2, 4, 5, 6, 8, 9]))
+    honest = GradientSet(rows[[0, 1, 0, 2, 1, 0, 2]])
     candidates = np.vstack([search_candidates(honest), rows])
-    assert_search_exact(honest, [0, 3, 7], candidates)
+    assert_search_exact(honest, 3, candidates)
 
 
 def test_search_matches_fresh_sets_on_degenerate_prodigy_rounds():
     """Identical integer honest rows: their mean is exact and their std zero,
     so the ALIE candidates and the honest copy equal them, every score ties
     and prodigy filters everyone; the FoE candidates do not."""
-    honest = GradientSet(np.tile(np.arange(25.0) - 12.0, (7, 1)), np.arange(3, 10))
-    found = assert_search_exact(honest, [0, 1, 2])
+    honest = GradientSet(np.tile(np.arange(25.0) - 12.0, (7, 1)))
+    found = assert_search_exact(honest, 3)
     assert np.isneginf(found["prodigy"]).sum() == len(alie_candidates(1.0)) + 1
     assert np.isfinite(found["prodigy"]).any()
 
 
 def test_search_matches_fresh_sets_at_wide_scale():
-    """N=100, d=10 000, f=20, byzantine ids among the honest ones."""
+    """N=100, d=10 000, f=20."""
     n, d, f = 100, 10_000, 20
     rng = np.random.default_rng(11)
-    ids = rng.permutation(n)
-    honest = GradientSet(rng.standard_normal((n - f, d)), ids[f:])
+    honest = GradientSet(rng.standard_normal((n - f, d)))
     mean, std = honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
-    assert_search_exact(honest, ids[:f], np.array([mean - std, honest.vectors[0]]))
+    assert_search_exact(honest, f, np.array([mean - std, honest.vectors[0]]))
 
 
 # --- client updates: one batched pass against the per-client loop ------------
@@ -724,11 +708,10 @@ def loop_run_training(cfg):
     clients, test = build_clients(cfg)
     honest_clients = [c for c in clients if c.role == HONEST]
     byz_clients = [c for c in clients if c.role == BYZANTINE]
-    byz_ids = np.array([c.client_id for c in byz_clients], dtype=np.int64)
     aggregator = Aggregator(cfg.defense, cfg.n_clients, cfg.n_byzantine)
     state = AggregatorState()
     theta = init_params(model, stream_id(cfg.seed, "init"))
-    local_attack = cfg.attack.kind in ("none", "sign_flip", "label_flip")
+    local_attack = cfg.attack.kind in LOCAL_ATTACK_KINDS
     evaluations = []
     for t in range(sched.rounds):
         sent = np.empty((cfg.n_clients, model.param_dim))
@@ -741,22 +724,19 @@ def loop_run_training(cfg):
             local = None
             if local_attack:
                 local = GradientSet(
-                    np.stack([loop_client_update(model, theta, c, sched, t) for c in byz_clients]),
-                    byz_ids,
+                    np.stack([loop_client_update(model, theta, c, sched, t) for c in byz_clients])
                 )
-            honest_set = GradientSet(
-                np.stack([sent[c.client_id] for c in honest_clients]),
-                np.array([c.client_id for c in honest_clients], dtype=np.int64),
-            )
+            honest_set = GradientSet(np.stack([sent[c.client_id] for c in honest_clients]))
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
-            crafted = craft_attack(cfg.attack, honest_set, byz_ids, defense, byz_local=local)
+            f = len(byz_clients)
+            crafted = craft_attack(cfg.attack, honest_set, f, defense, byz_local=local)
             for i, client in enumerate(byz_clients):
                 v = crafted.vectors[i]
                 if local_attack and sched.momentum > 0:
                     v = apply_momentum(client, v, sched.momentum)
                 sent[client.client_id] = v
         try:
-            result = aggregator(GradientSet(sent, np.arange(cfg.n_clients)), state)
+            result = aggregator(GradientSet(sent), state)
         except DegenerateRoundError:
             result = None
         if result is not None:
