@@ -31,14 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from robustfed.aggregators import Aggregator, AggregatorSpec, AggregatorState, nnm_mix
 from robustfed.geometry import GradientSet, pairwise_sq_distances
 from robustfed.prodigy import DegenerateRoundError
-from robustfed.sweep import (
-    CRIT7_ATTACKS,
-    CRIT7_BASE,
-    CRIT7_DEFENSES,
-    CRIT7_SEEDS,
-    SweepSpec,
-    run_sweep,
-)
+from robustfed.sweep import CRIT7_DEFENSES, CRIT7_SEEDS, SweepSpec, crit7_sweep, run_sweep
 from robustfed.verification import _determinism_config
 
 ARTIFACTS = ("metrics.csv", "trust_scores.jsonl")
@@ -50,13 +43,7 @@ def sweeps() -> dict[str, SweepSpec]:
     determinism = _determinism_config("")
     determinism.pop("output_path")
     return {
-        "crit7": SweepSpec(
-            base=CRIT7_BASE,
-            defenses=[spec for _, spec in CRIT7_DEFENSES],
-            attacks=[spec for _, spec in CRIT7_ATTACKS],
-            seeds=list(CRIT7_SEEDS),
-            max_runs=200,
-        ),
+        "crit7": crit7_sweep(CRIT7_SEEDS),
         "determinism": SweepSpec(base=determinism, seeds=DETERMINISM_SEEDS),
     }
 

@@ -12,14 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from robustfed.sweep import (
-    CRIT7_ATTACKS,
-    CRIT7_BASE,
-    CRIT7_DEFENSES,
-    CRIT7_SEEDS,
-    SweepSpec,
-    run_sweep,
-)
+from robustfed.sweep import CRIT7_SEEDS, crit7_sweep, run_sweep
 
 
 def main() -> int:
@@ -29,14 +22,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=list(CRIT7_SEEDS))
     args = parser.parse_args()
 
-    spec = SweepSpec(
-        base=CRIT7_BASE,
-        defenses=[spec for _, spec in CRIT7_DEFENSES],
-        attacks=[spec for _, spec in CRIT7_ATTACKS],
-        seeds=args.seeds,
-        max_runs=200,
-    )
-    rows = run_sweep(spec, Path(args.out), jobs=args.jobs)
+    rows = run_sweep(crit7_sweep(args.seeds), Path(args.out), jobs=args.jobs)
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows)} runs done ({len(failed)} failed); see {args.out}/summary.csv")
     return 0 if not failed else 1

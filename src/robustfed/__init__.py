@@ -12,7 +12,7 @@ from .datasim import LabeledDataset, PartitionSpec, generate_blobs, partition
 from .engine import run_training
 from .geometry import GradientSet
 from .models import ModelSpec
-from .prodigy import DegenerateRoundError, ProdigyParams, TrustScores, prodigy_aggregate
+from .prodigy import DegenerateRoundError, TrustScores, prodigy_aggregate
 
 __all__ = [
     "Aggregator",
@@ -32,7 +32,6 @@ __all__ = [
     "GradientSet",
     "ModelSpec",
     "DegenerateRoundError",
-    "ProdigyParams",
     "TrustScores",
     "prodigy_aggregate",
 ]

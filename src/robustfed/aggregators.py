@@ -19,37 +19,32 @@ from .geometry import (
     neighborhood_blocks,
     wide_set,
 )
-from .prodigy import ProdigyParams, TrustScores, prodigy_aggregate
+from .prodigy import TrustScores, check_prodigy_counts, prodigy_aggregate
+
+# Smoothing floor ν and iterations T of smoothed Weiszfeld (Pillutla et al.,
+# "Robust Aggregation for Federated Learning", IEEE TSP 2022).
+WEISZFELD_NU = 0.1
+WEISZFELD_ROUNDS = 3
+# Clipping radius τ and iterations L of centered clipping (Karimireddy et al.,
+# "Learning from History for Byzantine Robust Optimization", ICML 2021).
+CLIP_TAU = 10.0
+CLIP_ITERS = 3
 
 
 @dataclass
 class AggregatorSpec:
-    """Which rule to run and its parameters; defaults follow common practice.
+    """Which rule to run, and whether nearest-neighbor mixing prefixes it.
 
-    trim_q defaults to the configured byzantine count when left as None.
+    Every rule reads the run's byzantine count f from ``Aggregator``;
+    trimmed mean trims f values per side.
     """
 
     kind: str = "average"
-    trim_q: int | None = None
-    weiszfeld_nu: float = 0.1
-    weiszfeld_rounds: int = 3
-    clip_tau: float = 10.0
-    clip_iters: int = 3
     nnm_enabled: bool = field(default=False, metadata={"json": "nnm"})
 
     def __post_init__(self):
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator kind {self.kind!r}, expected one of {AGGREGATOR_KINDS}")
-        if self.trim_q is not None and self.trim_q < 0:
-            raise ValueError("trim_q must be nonnegative")
-        if self.weiszfeld_nu <= 0:
-            raise ValueError("weiszfeld_nu must be positive")
-        if self.weiszfeld_rounds < 1:
-            raise ValueError("weiszfeld_rounds must be at least 1")
-        if self.clip_tau <= 0:
-            raise ValueError("clip_tau must be positive")
-        if self.clip_iters < 1:
-            raise ValueError("clip_iters must be at least 1")
 
     def label(self) -> str:
         return ("nnm+" if self.nnm_enabled else "") + self.kind
@@ -88,13 +83,18 @@ def coordinate_median(g: GradientSet) -> np.ndarray:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def trimmed_mean(g: GradientSet, q: int) -> np.ndarray:
-    """Per-coordinate mean after dropping the q largest and q smallest values."""
-    n = g.n_clients
+def check_trim_counts(n: int, q: int) -> None:
+    """Trimming q values per side must leave one of the N."""
     if q < 0:
         raise ValueError("trim count must be nonnegative")
     if n - 2 * q < 1:
         raise ValueError(f"trim count q={q} leaves no values out of N={n}")
+
+
+def trimmed_mean(g: GradientSet, q: int) -> np.ndarray:
+    """Per-coordinate mean after dropping the q largest and q smallest values."""
+    n = g.n_clients
+    check_trim_counts(n, q)
     if q == 0:
         return average(g)
     ordered = np.sort(g.vectors, axis=0)
@@ -105,28 +105,41 @@ def geometric_median(g: GradientSet, nu: float, rounds: int) -> np.ndarray:
     """Smoothed Weiszfeld iteration started at the arithmetic mean.
 
     Residual norms are clamped below by nu so the weights stay finite when an
-    iterate lands on an input point.
+    iterate lands on an input point. Where a plain norm overflows, because
+    its squares do, every row's norm is taken scaled by its largest
+    component; finite plain norms are kept as they are, bit for bit.
     """
     if nu <= 0 or rounds < 1:
         raise ValueError("need nu > 0 and rounds >= 1")
     v = g.vectors.mean(axis=0)
     for _ in range(rounds):
-        residual_norms = np.linalg.norm(g.vectors - v, axis=1)
+        residuals = g.vectors - v
+        with np.errstate(over="ignore"):  # an overflowing norm is taken scaled
+            residual_norms = np.linalg.norm(residuals, axis=1)
+        if not np.isfinite(residual_norms).all():
+            scale = np.abs(residuals).max(axis=1)
+            scaled = residuals / np.where(scale > 0, scale, 1.0)[:, None]
+            residual_norms = scale * np.linalg.norm(scaled, axis=1)
         weights = 1.0 / np.maximum(nu, residual_norms)
         v = (weights @ g.vectors) / weights.sum()
     return v
+
+
+def check_krum_counts(n: int, f: int) -> None:
+    """Krum scores each client over its N-f-2 nearest peers, so needs one."""
+    if f < 0:
+        raise ValueError("byzantine count must be nonnegative")
+    if n < f + 3:
+        raise ValueError(f"krum needs N >= f + 3, got N={n}, f={f}")
 
 
 def krum(g: GradientSet, f: int) -> np.ndarray:
     """Update of the client with the smallest summed squared distance to its
     N-f-2 nearest peers; score ties resolve to the lower client index."""
     n = g.n_clients
-    if f < 0:
-        raise ValueError("byzantine count must be nonnegative")
-    if n < f + 3:
-        raise ValueError(f"krum needs N >= f + 3, got N={n}, f={f}")
-    order = neighbor_order(distances_of(g))
-    scores = order.distances[:, : n - f - 2].sum(axis=1)
+    check_krum_counts(n, f)
+    _, sorted_distances = neighbor_order(distances_of(g))
+    scores = sorted_distances[:, : n - f - 2].sum(axis=1)
     return g.vectors[int(np.argmin(scores))].copy()
 
 
@@ -152,6 +165,14 @@ def centered_clip(g: GradientSet, state: AggregatorState | None, tau: float, ite
     return center
 
 
+def check_nnm_counts(n: int, f: int) -> None:
+    """Mixing averages each client's N-f nearest rows, so needs one."""
+    if f < 0:
+        raise ValueError("byzantine count must be nonnegative")
+    if n - f < 1:
+        raise ValueError(f"mixing needs N - f >= 1, got N={n}, f={f}")
+
+
 def nnm_mix(g: GradientSet, f: int) -> GradientSet:
     """Replace each update with the mean of itself and its N-f-1 nearest peers.
 
@@ -163,45 +184,47 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
     at N=100, d=10 000 it mixes in under half the time of the gathers.
     """
     n = g.n_clients
-    if f < 0:
-        raise ValueError("byzantine count must be nonnegative")
-    if n - f < 1:
-        raise ValueError(f"mixing needs N - f >= 1, got N={n}, f={f}")
-    order = neighbor_order(distances_of(g))
+    check_nnm_counts(n, f)
+    indices, sorted_distances = neighbor_order(distances_of(g))
     mixed = np.empty_like(g.vectors)
     if not wide_set(g):
-        for rows, block in neighborhood_blocks(g, order, n - f, np.arange(n)):
+        for rows, block in neighborhood_blocks(g, indices, n - f, np.arange(n)):
             mixed[rows] = block.mean(axis=1)
     else:
-        source = copy_sources(g, order)
+        source = copy_sources(g, sorted_distances)
         for k in range(n):
             row = mixed[k]
             if source[k] != k:
                 row[:] = mixed[source[k]]
                 continue
             np.add(g.vectors[k], 0.0, out=row)  # numpy sums from +0.0, so -0.0 turns +0.0
-            for j in order.indices[k, : n - f - 1].tolist():
+            for j in indices[k, : n - f - 1].tolist():
                 np.add(row, g.vectors[j], out=row)
             row /= n - f
     return GradientSet(mixed)
 
 
-# Per kind, the rule applied to the (mixed) set. Each entry looks its rule up
-# by name when called, so rebinding a module-level rule reaches it.
+# Per kind, the rule applied to the (mixed) set, given f. Each entry looks its
+# rule up by name when called, so rebinding a module-level rule reaches it.
 _RULES = {
-    "average": lambda agg, g, state: AggregationResult(average(g)),
-    "median": lambda agg, g, state: AggregationResult(coordinate_median(g)),
-    "trimmed_mean": lambda agg, g, state: AggregationResult(trimmed_mean(g, agg.trim_q)),
-    "geomed": lambda agg, g, state: AggregationResult(
-        geometric_median(g, agg.spec.weiszfeld_nu, agg.spec.weiszfeld_rounds)
+    "average": lambda g, f, state: AggregationResult(average(g)),
+    "median": lambda g, f, state: AggregationResult(coordinate_median(g)),
+    "trimmed_mean": lambda g, f, state: AggregationResult(trimmed_mean(g, f)),
+    "geomed": lambda g, f, state: AggregationResult(
+        geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS)
     ),
-    "krum": lambda agg, g, state: AggregationResult(krum(g, agg.n_byzantine)),
-    "cclip": lambda agg, g, state: AggregationResult(
-        centered_clip(g, state, agg.spec.clip_tau, agg.spec.clip_iters)
-    ),
-    "prodigy": lambda agg, g, state: AggregationResult(*prodigy_aggregate(g, agg.params)),
+    "krum": lambda g, f, state: AggregationResult(krum(g, f)),
+    "cclip": lambda g, f, state: AggregationResult(centered_clip(g, state, CLIP_TAU, CLIP_ITERS)),
+    "prodigy": lambda g, f, state: AggregationResult(*prodigy_aggregate(g, f)),
 }
 AGGREGATOR_KINDS = tuple(_RULES)
+# The condition on (N, f) of each rule that has one; the rule checks it on
+# every call.
+_COUNT_CHECKS = {
+    "trimmed_mean": check_trim_counts,
+    "krum": check_krum_counts,
+    "prodigy": check_prodigy_counts,
+}
 
 
 class Aggregator:
@@ -215,21 +238,16 @@ class Aggregator:
         self.spec = spec
         self.n_clients = n_clients
         self.n_byzantine = n_byzantine
-        self.trim_q = spec.trim_q if spec.trim_q is not None else n_byzantine
-        if spec.kind == "trimmed_mean" and n_clients - 2 * self.trim_q < 1:
-            raise ValueError(
-                f"trimmed_mean with q={self.trim_q} leaves no values out of N={n_clients}"
-            )
-        if spec.kind == "krum" and n_clients < n_byzantine + 3:
-            raise ValueError(f"krum needs N >= f + 3, got N={n_clients}, f={n_byzantine}")
-        # validates 1 <= f < N/2 up front
-        self.params = ProdigyParams(n_clients, n_byzantine) if spec.kind == "prodigy" else None
-        if spec.nnm_enabled and n_clients - n_byzantine < 1:
-            raise ValueError("nnm mixing needs N - f >= 1")
+        # The run's counts, checked once here so that a config fails at parse
+        # time rather than at round 0.
+        if spec.kind in _COUNT_CHECKS:
+            _COUNT_CHECKS[spec.kind](n_clients, n_byzantine)
+        if spec.nnm_enabled:
+            check_nnm_counts(n_clients, n_byzantine)
 
     def __call__(self, g: GradientSet, state: AggregatorState | None = None) -> AggregationResult:
         if g.n_clients != self.n_clients:
             raise ValueError(f"expected {self.n_clients} updates, got {g.n_clients}")
         if self.spec.nnm_enabled:
             g = nnm_mix(g, self.n_byzantine)
-        return _RULES[self.spec.kind](self, g, state)
+        return _RULES[self.spec.kind](g, self.n_byzantine, state)

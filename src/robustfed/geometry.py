@@ -85,22 +85,6 @@ def check_finite(vectors: np.ndarray, first_client: int = 0) -> None:
         raise ValueError(f"non-finite update component from client {bad}")
 
 
-@dataclass
-class NeighborOrder:
-    """Per client, the other clients sorted by ascending squared distance.
-
-    ``indices[k]`` holds positional indices into the originating GradientSet;
-    ties are broken by ascending index so the ordering is deterministic.
-    """
-
-    indices: np.ndarray    # (N, N-1) int
-    distances: np.ndarray  # (N, N-1) float, ascending per row
-
-    @property
-    def n_clients(self) -> int:
-        return self.indices.shape[0]
-
-
 def pairwise_sq_distances(g: GradientSet) -> np.ndarray:
     """The symmetric (N, N) squared Euclidean distances between client updates.
 
@@ -187,12 +171,17 @@ def distances_of(g: GradientSet) -> np.ndarray:
     return g.distances() if g.distances is not None else pairwise_sq_distances(g)
 
 
-def neighbor_order(distances: np.ndarray) -> NeighborOrder:
-    """Sort each client's peers by ascending squared distance, ties by index."""
+def neighbor_order(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per client, the other clients sorted by ascending squared distance.
+
+    Returns ``(indices, sorted_distances)``, both (N, N-1): ``indices[k]``
+    holds row indices of the other clients, nearest first, ties broken by
+    ascending index, and ``sorted_distances[k]`` their squared distances.
+    """
     masked = distances.copy()
     np.fill_diagonal(masked, -np.inf)  # every client sorts itself first, then drops out
     indices = np.argsort(masked, axis=1, kind="stable")[:, 1:]  # stable: ties by index
-    return NeighborOrder(indices=indices, distances=np.take_along_axis(distances, indices, axis=1))
+    return indices, np.take_along_axis(distances, indices, axis=1)
 
 
 def vector_set_stats(subset: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
@@ -218,8 +207,9 @@ def wide_set(g: GradientSet) -> bool:
     return g.dim > 1 and g.vectors.nbytes > GATHER_BYTES
 
 
-def copy_sources(g: GradientSet, order: NeighborOrder) -> np.ndarray:
-    """Per client, the lowest-index client whose neighborhood results it takes.
+def copy_sources(g: GradientSet, sorted_distances: np.ndarray) -> np.ndarray:
+    """Per client, the lowest-index client whose neighborhood results it takes;
+    ``sorted_distances`` are ``neighbor_order``'s.
 
     A copy group shares when its rows are equal (``equal_rows``) and its
     zero-distance peers are exactly its members. Then each member ranks
@@ -235,7 +225,7 @@ def copy_sources(g: GradientSet, order: NeighborOrder) -> np.ndarray:
     Copies are at distance 0, so only rows with a zero distance are grouped.
     """
     source = np.arange(g.n_clients)
-    zeros = (order.distances == 0.0).sum(axis=1)
+    zeros = (sorted_distances == 0.0).sum(axis=1)
     rows = np.flatnonzero(zeros)
     first = rows[equal_rows(g.vectors[rows])]
     members = np.bincount(first, minlength=g.n_clients)[first]
@@ -244,8 +234,9 @@ def copy_sources(g: GradientSet, order: NeighborOrder) -> np.ndarray:
     return source
 
 
-def neighborhood_blocks(g: GradientSet, order: NeighborOrder, size: int, clients: np.ndarray):
-    """The self-inclusive nearest neighborhoods of ``size`` members of ``clients``.
+def neighborhood_blocks(g: GradientSet, indices: np.ndarray, size: int, clients: np.ndarray):
+    """The self-inclusive nearest neighborhoods of ``size`` members of
+    ``clients``, from ``neighbor_order``'s ``indices``.
 
     Yields ``(rows, block)`` where ``block[i]`` holds the vectors of client
     ``rows[i]`` and its ``size - 1`` nearest peers, in rank order, as a
@@ -258,7 +249,7 @@ def neighborhood_blocks(g: GradientSet, order: NeighborOrder, size: int, clients
     neighbors rank by rank into one row matches only the first, which is why
     a wide set (``wide_set``) may mix in place and d = 1 never counts as wide.
     """
-    members = np.column_stack((clients, order.indices[clients, : size - 1]))
+    members = np.column_stack((clients, indices[clients, : size - 1]))
     step = max(1, GATHER_BYTES // (size * g.dim * g.vectors.itemsize))
     for lo in range(0, len(clients), step):
         yield clients[lo : lo + step], g.vectors[members[lo : lo + step]]

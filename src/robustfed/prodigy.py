@@ -15,7 +15,6 @@ import numpy as np
 
 from .geometry import (
     GradientSet,
-    NeighborOrder,
     copy_sources,
     distances_of,
     neighbor_order,
@@ -42,19 +41,12 @@ class DegenerateRoundError(RuntimeError):
 EPSILON_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class ProdigyParams:
-    """Client counts of the scoring pipeline."""
-
-    n_clients: int
-    n_byzantine: int
-
-    def __post_init__(self):
-        n, f = self.n_clients, self.n_byzantine
-        if f < 1:
-            raise ValueError(f"need at least one presumed byzantine client, got f={f}")
-        if 2 * f >= n:
-            raise ValueError(f"adversarial model requires f < N/2, got N={n}, f={f}")
+def check_prodigy_counts(n: int, f: int) -> None:
+    """The scoring presumes 1 <= f < N/2 byzantine clients among N."""
+    if f < 1:
+        raise ValueError(f"need at least one presumed byzantine client, got f={f}")
+    if 2 * f >= n:
+        raise ValueError(f"adversarial model requires f < N/2, got N={n}, f={f}")
 
 
 @dataclass
@@ -77,27 +69,23 @@ class TrustScores:
         }
 
 
-def _check_order(order: NeighborOrder, p: ProdigyParams) -> None:
-    if order.n_clients != p.n_clients:
-        raise ValueError(
-            f"neighbor order built from {order.n_clients} clients, params say {p.n_clients}"
-        )
-
-
-def proximity_scores(order: NeighborOrder, p: ProdigyParams) -> np.ndarray:
-    """Inverse of the summed mid-ranked neighbor distances.
+def proximity_scores(sorted_distances: np.ndarray, f: int) -> np.ndarray:
+    """Inverse of the summed mid-ranked neighbor distances, from
+    ``neighbor_order``'s sorted distances.
 
     The sum runs over sorted ranks f..N-f-1 (1-based among the N-1 neighbors),
     skipping the f-1 nearest (anti-collusion) and f farthest (anti-outlier).
     """
-    _check_order(order, p)
-    f = p.n_byzantine
-    window = order.distances[:, f - 1 : order.n_clients - f - 1]
+    n = len(sorted_distances)
+    window = sorted_distances[:, f - 1 : n - f - 1]
     return 1.0 / (window.sum(axis=1) + EPSILON_GUARD)
 
 
-def dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams) -> np.ndarray:
-    """Coefficient of variance of each client's f-member nearest neighborhood.
+def dissimilarity_scores(
+    g: GradientSet, indices: np.ndarray, sorted_distances: np.ndarray, f: int
+) -> np.ndarray:
+    """Coefficient of variance of each client's f-member nearest neighborhood,
+    from ``neighbor_order``'s two arrays.
 
     The neighborhood is self-inclusive: the client plus its f-1 nearest peers.
     For f=1 the neighborhood is the client alone and the ratio degenerates to
@@ -106,14 +94,13 @@ def dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams)
     On a wide set (``wide_set``) a copy group that may share
     (``copy_sources``) is scored once.
     """
-    _check_order(order, p)
-    n, f = p.n_clients, p.n_byzantine
+    n = g.n_clients
     if f == 1:
         return np.ones(n)
-    source = copy_sources(g, order) if wide_set(g) else np.arange(n)
+    source = copy_sources(g, sorted_distances) if wide_set(g) else np.arange(n)
     scored = np.flatnonzero(source == np.arange(n))
     scores = np.empty(n)
-    for rows, block in neighborhood_blocks(g, order, f, scored):
+    for rows, block in neighborhood_blocks(g, indices, f, scored):
         means, spreads = vector_set_stats(block)
         # One BLAS norm per mean row: a batched norm sums in another order.
         norms = np.array([np.linalg.norm(mean) for mean in means])
@@ -121,22 +108,21 @@ def dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams)
     return scores[source]
 
 
-def prodigy_aggregate(g: GradientSet, p: ProdigyParams) -> tuple[np.ndarray, TrustScores]:
+def prodigy_aggregate(g: GradientSet, f: int) -> tuple[np.ndarray, TrustScores]:
     """Score all clients, zero out the f lowest composites, average the rest.
 
     The threshold equals the f-th smallest composite score (ties toward the
     lower client index) and the comparison is inclusive, so at least f clients
     are always filtered. Raises DegenerateRoundError if nothing survives.
     """
-    if g.n_clients != p.n_clients:
-        raise ValueError(f"got {g.n_clients} updates, params say N={p.n_clients}")
-    order = neighbor_order(distances_of(g))
-    s_p = proximity_scores(order, p)
-    s_d = dissimilarity_scores(g, order, p)
+    check_prodigy_counts(g.n_clients, f)
+    indices, sorted_distances = neighbor_order(distances_of(g))
+    s_p = proximity_scores(sorted_distances, f)
+    s_d = dissimilarity_scores(g, indices, sorted_distances, f)
     composite = s_p * s_d
 
-    ranking = np.lexsort((np.arange(p.n_clients), composite))
-    threshold = float(composite[ranking[p.n_byzantine - 1]])
+    ranking = np.lexsort((np.arange(g.n_clients), composite))
+    threshold = float(composite[ranking[f - 1]])
     final = np.where(composite <= threshold, 0.0, composite)
 
     scores = TrustScores(

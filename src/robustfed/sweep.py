@@ -54,8 +54,8 @@ AXES = {
 }
 
 # The criterion-7 grid: each defense against each attack on strongly
-# label-skewed blobs, over three seeds. tests/test_acceptance.py and
-# scripts/qualitative_table.py run it; perfbench/workloads.py keeps its own
+# label-skewed blobs, over three seeds. tests/test_acceptance.py and the
+# scripts (through ``crit7_sweep``) run it; perfbench/workloads.py keeps its own
 # frozen copy, which tests/test_runner_sweep.py holds equal to this one.
 CRIT7_BASE = {
     "n_clients": 10,
@@ -104,6 +104,17 @@ class SweepSpec:
     f_values: list[int] = field(default_factory=list)
     n_values: list[int] = field(default_factory=list)
     max_runs: int = DEFAULT_MAX_RUNS
+
+
+def crit7_sweep(seeds) -> SweepSpec:
+    """The criterion-7 grid at ``seeds``."""
+    return SweepSpec(
+        base=CRIT7_BASE,
+        defenses=[spec for _, spec in CRIT7_DEFENSES],
+        attacks=[spec for _, spec in CRIT7_ATTACKS],
+        seeds=list(seeds),
+        max_runs=200,
+    )
 
 
 def parse_sweep(text: str) -> SweepSpec:

@@ -17,6 +17,10 @@ import numpy as np
 from . import oracles
 from .aggregators import (
     AGGREGATOR_KINDS,
+    CLIP_ITERS,
+    CLIP_TAU,
+    WEISZFELD_NU,
+    WEISZFELD_ROUNDS,
     Aggregator,
     AggregatorSpec,
     AggregatorState,
@@ -32,7 +36,7 @@ from .config import config_from_dict
 from .datasim import LabeledDataset, PartitionSpec, generate_blobs, partition
 from .geometry import GradientSet
 from .models import ModelSpec, model_gradient, model_loss
-from .prodigy import DegenerateRoundError, ProdigyParams, prodigy_aggregate
+from .prodigy import DegenerateRoundError, prodigy_aggregate
 from .runner import execute_run
 from .seeding import derived_rng
 
@@ -59,7 +63,7 @@ def check_prodigy_oracle_equivalence(instances: int = 1000) -> CheckResult:
         for d in (1, 2, 4):
             for _ in range(instances):
                 vectors = rng.standard_normal((n, d))
-                agg, _ = prodigy_aggregate(GradientSet(vectors.copy()), ProdigyParams(n, f))
+                agg, _ = prodigy_aggregate(GradientSet(vectors.copy()), f)
                 ref, _ = oracles.ref_prodigy(vectors, f)
                 if ref is None:
                     return _finish(
@@ -83,7 +87,7 @@ def check_prodigy_exact_f_filtering(instances: int = 10000, n: int = 10, f: int 
     bad = 0
     for _ in range(instances):
         vectors = rng.standard_normal((n, 4))
-        _, scores = prodigy_aggregate(GradientSet(vectors), ProdigyParams(n, f))
+        _, scores = prodigy_aggregate(GradientSet(vectors), f)
         if int(np.sum(scores.final == 0.0)) != f:
             bad += 1
     return _finish(
@@ -104,7 +108,7 @@ def check_prodigy_convex_combination(instances: int = 1000) -> CheckResult:
     for _ in range(instances):
         n, f, d = 8, 3, 3
         vectors = rng.standard_normal((n, d))
-        agg, scores = prodigy_aggregate(GradientSet(vectors), ProdigyParams(n, f))
+        agg, scores = prodigy_aggregate(GradientSet(vectors), f)
         weights = scores.final / scores.final.sum()
         if (weights < 0).any():
             return _finish("prodigy-convex-combination", start, False, "negative weight")
@@ -129,10 +133,10 @@ def check_prodigy_positive_homogeneity(instances: int = 1000) -> CheckResult:
     for _ in range(instances):
         n, f, d = 7, 2, 4
         vectors = rng.standard_normal((n, d))
-        base, _ = prodigy_aggregate(GradientSet(vectors.copy()), ProdigyParams(n, f))
+        base, _ = prodigy_aggregate(GradientSet(vectors.copy()), f)
         scale_ref = float(np.max(np.linalg.norm(vectors, axis=1)))
         for c in (0.5, 2.0, 10.0):
-            scaled, _ = prodigy_aggregate(GradientSet(c * vectors), ProdigyParams(n, f))
+            scaled, _ = prodigy_aggregate(GradientSet(c * vectors), f)
             deviation = float(np.linalg.norm(scaled - c * base))
             worst_ratio = max(worst_ratio, deviation / (c * scale_ref))
     passed = worst_ratio <= 1e-9
@@ -152,8 +156,8 @@ def check_prodigy_permutation_equivariance(instances: int = 1000) -> CheckResult
         n, f, d = 8, 3, 3
         vectors = rng.standard_normal((n, d))
         perm = rng.permutation(n)
-        base_agg, base_scores = prodigy_aggregate(GradientSet(vectors.copy()), ProdigyParams(n, f))
-        perm_agg, perm_scores = prodigy_aggregate(GradientSet(vectors[perm]), ProdigyParams(n, f))
+        base_agg, base_scores = prodigy_aggregate(GradientSet(vectors.copy()), f)
+        perm_agg, perm_scores = prodigy_aggregate(GradientSet(vectors[perm]), f)
         if not np.array_equal(base_agg, perm_agg):
             return _finish(
                 "prodigy-permutation-equivariance", start, False, "aggregate changed bits"
@@ -188,33 +192,18 @@ def check_baseline_oracle_equivalence(instances: int = 1000) -> CheckResult:
             worst["trimmed_mean"],
             float(np.max(np.abs(trimmed_mean(g, q) - oracles.ref_trimmed_mean(vectors, q)))),
         )
-        worst["geomed"] = max(
-            worst["geomed"],
-            float(
-                np.max(
-                    np.abs(
-                        geometric_median(g, 0.1, 3) - oracles.ref_geometric_median(vectors, 0.1, 3)
-                    )
-                )
-            ),
-        )
+        geomed = geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS)
+        ref = oracles.ref_geometric_median(vectors, WEISZFELD_NU, WEISZFELD_ROUNDS)
+        worst["geomed"] = max(worst["geomed"], float(np.max(np.abs(geomed - ref))))
         if n >= f + 3:
             worst["krum"] = max(
                 worst["krum"],
                 float(np.max(np.abs(krum(g, f) - oracles.ref_krum(vectors, f)))),
             )
         center = rng.standard_normal(d)
-        worst["cclip"] = max(
-            worst["cclip"],
-            float(
-                np.max(
-                    np.abs(
-                        centered_clip(g, AggregatorState(center.copy()), 10.0, 3)
-                        - oracles.ref_centered_clip(vectors, center, 10.0, 3)
-                    )
-                )
-            ),
-        )
+        clipped = centered_clip(g, AggregatorState(center.copy()), CLIP_TAU, CLIP_ITERS)
+        ref = oracles.ref_centered_clip(vectors, center, CLIP_TAU, CLIP_ITERS)
+        worst["cclip"] = max(worst["cclip"], float(np.max(np.abs(clipped - ref))))
         worst["nnm"] = max(
             worst["nnm"],
             float(np.max(np.abs(nnm_mix(g, f).vectors - np.stack(oracles.ref_nnm(vectors, f))))),
@@ -246,12 +235,14 @@ def check_worked_examples() -> CheckResult:
         [1.0, 5.0],
     )
     expect("trimmed-q1", trimmed_mean(scalars, 1), [2.0])
-    expect("geomed-smoothed", geometric_median(GradientSet(np.array([[0.0], [0.0], [3.0]])), 0.1, 3), [3.0 / 17.0])
+    pair_and_far = GradientSet(np.array([[0.0], [0.0], [3.0]]))
+    expect("geomed-smoothed", geometric_median(pair_and_far, WEISZFELD_NU, WEISZFELD_ROUNDS), [3.0 / 17.0])
     expect("krum-f1", krum(scalars, 1), [1.0])
-    expect("cclip-single-30", centered_clip(GradientSet(np.array([[30.0]])), None, 10.0, 3), [30.0])
+    single = GradientSet(np.array([[30.0]]))
+    expect("cclip-single-30", centered_clip(single, None, CLIP_TAU, CLIP_ITERS), [30.0])
     expect("nnm-f1", nnm_mix(GradientSet(np.array([[0.0], [1.0], [5.0]])), 1).vectors, [[0.5], [0.5], [3.0]])
 
-    agg, scores = prodigy_aggregate(scalars, ProdigyParams(5, 2))
+    agg, scores = prodigy_aggregate(scalars, 2)
     expect("prodigy-aggregate", agg, [20.0 / 19.0], tol=1e-10)
     expect("prodigy-threshold", scores.threshold, 1.0 / 20.0, tol=1e-10)
     expect(
@@ -368,11 +359,11 @@ def check_complexity_scaling(dim: int = 10_000, reps: int = 5) -> CheckResult:
     def mean_time(n: int) -> float:
         f = n // 5
         g = GradientSet(rng.standard_normal((n, dim)))
-        prodigy_aggregate(g, ProdigyParams(n, f))  # warmup
+        prodigy_aggregate(g, f)  # warmup
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()
-            prodigy_aggregate(g, ProdigyParams(n, f))
+            prodigy_aggregate(g, f)
             times.append(time.perf_counter() - t0)
         return float(np.mean(times))
 

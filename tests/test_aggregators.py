@@ -4,6 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustfed.aggregators import (
+    CLIP_ITERS,
+    CLIP_TAU,
+    WEISZFELD_NU,
+    WEISZFELD_ROUNDS,
     Aggregator,
     AggregatorSpec,
     AggregatorState,
@@ -24,6 +28,7 @@ from robustfed.oracles import (
     ref_nnm,
     ref_trimmed_mean,
 )
+from robustfed.prodigy import prodigy_aggregate
 
 SCALARS = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
 
@@ -206,8 +211,6 @@ def test_outputs_in_bounding_box(seed):
 def test_spec_validation():
     with pytest.raises(ValueError):
         AggregatorSpec(kind="bogus")
-    with pytest.raises(ValueError):
-        AggregatorSpec(kind="geomed", weiszfeld_nu=0.0)
     spec = AggregatorSpec(kind="trimmed_mean")
     with pytest.raises(ValueError):
         Aggregator(spec, n_clients=10, n_byzantine=5)
@@ -217,11 +220,55 @@ def test_spec_validation():
 
 
 def test_defaults_are_standard():
-    spec = AggregatorSpec(kind="geomed")
-    assert spec.weiszfeld_nu == 0.1 and spec.weiszfeld_rounds == 3
-    assert spec.clip_tau == 10.0 and spec.clip_iters == 3
-    agg = Aggregator(AggregatorSpec(kind="trimmed_mean"), 10, 3)
-    assert agg.trim_q == 3  # defaults to the byzantine count
+    assert (WEISZFELD_NU, WEISZFELD_ROUNDS) == (0.1, 3)
+    assert (CLIP_TAU, CLIP_ITERS) == (10.0, 3)
+    g = GradientSet(np.random.default_rng(5).standard_normal((10, 4)))
+    trimmed = Aggregator(AggregatorSpec(kind="trimmed_mean"), 10, 3)(g).vector
+    assert np.array_equal(trimmed, trimmed_mean(g, 3))  # trims f per side
+
+
+# Per count condition: the spec, the direct rule call, (N, f) on the boundary,
+# (N, f) one step past it, and the message both calls raise there.
+COUNT_BOUNDARIES = {
+    "trimmed_mean": (AggregatorSpec("trimmed_mean"), trimmed_mean, (7, 3), (6, 3),
+                     "trim count q=3 leaves no values out of N=6"),
+    "krum": (AggregatorSpec("krum"), krum, (6, 3), (5, 3), "krum needs N >= f + 3, got N=5, f=3"),
+    "nnm": (AggregatorSpec("average", nnm_enabled=True), nnm_mix, (4, 3), (3, 3),
+            "mixing needs N - f >= 1, got N=3, f=3"),
+    "prodigy": (AggregatorSpec("prodigy"), prodigy_aggregate, (7, 3), (6, 3),
+                "adversarial model requires f < N/2, got N=6, f=3"),
+    "prodigy-f": (AggregatorSpec("prodigy"), prodigy_aggregate, (5, 1), (5, 0),
+                  "need at least one presumed byzantine client, got f=0"),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_BOUNDARIES)
+def test_count_check_is_shared_by_aggregator_and_rule(case):
+    spec, rule, (n, f), (bad_n, bad_f), message = COUNT_BOUNDARIES[case]
+    vectors = np.random.default_rng(6).standard_normal((n, 3))
+    Aggregator(spec, n, f)
+    rule(GradientSet(vectors), f)
+    with pytest.raises(ValueError) as at_init:
+        Aggregator(spec, bad_n, bad_f)
+    with pytest.raises(ValueError) as at_call:
+        rule(GradientSet(vectors[:bad_n]), bad_f)
+    assert str(at_init.value) == str(at_call.value) == message
+
+
+@pytest.mark.parametrize("scaled", ["all rows 1e200", "all rows 1e307", "one row 1e160"])
+@pytest.mark.parametrize("nnm", [False, True])
+def test_geomed_stays_finite_when_residual_norms_overflow(scaled, nnm):
+    """The squares of the residuals overflow; the aggregate must not."""
+    vectors = np.random.default_rng(0).standard_normal((10, 50))
+    if scaled == "one row 1e160":
+        vectors[0] *= 1e160
+    else:
+        vectors *= float(scaled.split()[-1])
+    out = Aggregator(AggregatorSpec("geomed", nnm_enabled=nnm), 10, 3)(GradientSet(vectors)).vector
+    assert np.isfinite(out).all()
+    lo, hi = vectors.min(axis=0), vectors.max(axis=0)
+    slack = 1e-12 * (hi - lo)
+    assert np.all(out >= lo - slack) and np.all(out <= hi + slack)
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,14 +83,16 @@ def test_non_finite_config_number_exit_code(tmp_path, capsys):
     assert "schedule.gamma_hi: expected a finite number" in capsys.readouterr().err
 
 
-def test_negative_trim_count_exit_code(tmp_path, capsys):
+def test_defense_count_error_exit_code(tmp_path, capsys):
     # a config error at parse time, not a runtime error at round 0
     path = write_config(
         tmp_path,
-        {"output_path": str(tmp_path / "out"), "defense": {"kind": "trimmed_mean", "trim_q": -1}},
+        {"output_path": str(tmp_path / "out"), "n_clients": 3, "n_byzantine": 1,
+         "defense": {"kind": "krum"}},
     )
     assert cli.main(["run", "--config", str(path)]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "defense: krum needs N >= f + 3, got N=3, f=1" in err
     assert not (tmp_path / "out").exists()
 
 

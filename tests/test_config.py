@@ -19,7 +19,6 @@ def test_minimal_document_materializes_defaults():
     assert cfg.model.input_dim == cfg.data.dim
     assert cfg.model.l2_reg == 1e-2
     assert cfg.data.min_shard == 2 * cfg.schedule.batch_size
-    assert cfg.defense.trim_q is None  # resolves to f at aggregator construction
     assert cfg.eval_every == 10
 
 
@@ -45,14 +44,20 @@ def test_byzantine_majority_rejected():
 
 
 def test_trimmed_mean_overtrimming_rejected():
-    doc = '{"n_clients": 10, "n_byzantine": 3, "defense": {"kind": "trimmed_mean", "trim_q": 5}}'
-    with pytest.raises(ConfigError, match="defense"):
+    # trimmed mean trims f per side, so f < N/2 is what leaves it a value
+    doc = '{"n_clients": 10, "n_byzantine": 5, "defense": {"kind": "trimmed_mean"}}'
+    with pytest.raises(ConfigError, match="f < N/2"):
         parse_config(doc)
 
 
-def test_negative_trim_count_rejected_with_path():
-    doc = '{"n_clients": 10, "n_byzantine": 3, "defense": {"kind": "trimmed_mean", "trim_q": -1}}'
-    with pytest.raises(ConfigError, match="defense: trim_q must be nonnegative"):
+@pytest.mark.parametrize(
+    "key, value",
+    [("trim_q", "3"), ("weiszfeld_nu", "0.1"), ("weiszfeld_rounds", "3"), ("clip_tau", "10.0"),
+     ("clip_iters", "3")],
+)
+def test_removed_defense_keys_rejected(key, value):
+    doc = f'{{"n_clients": 10, "n_byzantine": 3, "defense": {{"kind": "geomed", "{key}": {value}}}}}'
+    with pytest.raises(ConfigError, match=rf"^defense: unknown keys \['{key}'\]"):
         parse_config(doc)
 
 
@@ -133,7 +138,6 @@ def test_roundtrip_through_dict():
         ("schedule", "momentum", "-Infinity", ""),
         ("attack", "z", "NaN", '"kind": "alie", '),
         ("attack", "eps", "Infinity", '"kind": "foe", '),
-        ("defense", "weiszfeld_nu", "NaN", '"kind": "geomed", '),
         ("data", "alpha", "NaN", '"partition": "dirichlet", '),
         ("model", "l2_reg", "Infinity", ""),
         ("data", "separation", "1e400", ""),  # overflows to inf when parsed

@@ -66,37 +66,37 @@ def test_pairwise_matches_naive_oracle(rows):
 
 def test_neighbor_tie_broken_by_lower_index():
     g = GradientSet(np.array([[0.0], [1.0], [2.0]]))
-    order = neighbor_order(pairwise_sq_distances(g))
+    indices, sorted_distances = neighbor_order(pairwise_sq_distances(g))
     # middle client is equidistant from both ends; lower index comes first
-    assert order.indices[1].tolist() == [0, 2]
-    assert order.distances[1].tolist() == [1.0, 1.0]
+    assert indices[1].tolist() == [0, 2]
+    assert sorted_distances[1].tolist() == [1.0, 1.0]
 
 
 def test_neighbor_order_example():
     g = GradientSet(np.array([[0.0], [1.0], [4.0]]))
-    order = neighbor_order(pairwise_sq_distances(g))
-    assert order.indices[0].tolist() == [1, 2]
-    assert order.distances[0].tolist() == [1.0, 16.0]
+    indices, sorted_distances = neighbor_order(pairwise_sq_distances(g))
+    assert indices[0].tolist() == [1, 2]
+    assert sorted_distances[0].tolist() == [1.0, 16.0]
 
 
 def test_neighbor_order_two_clients():
     g = GradientSet(np.array([[0.0], [5.0]]))
-    order = neighbor_order(pairwise_sq_distances(g))
-    assert order.indices[0].tolist() == [1]
-    assert order.indices[1].tolist() == [0]
+    indices, _ = neighbor_order(pairwise_sq_distances(g))
+    assert indices[0].tolist() == [1]
+    assert indices[1].tolist() == [0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(vector_sets())
 def test_neighbor_order_matches_oracle_and_permutes(rows):
     g = GradientSet(np.array(rows))
-    order = neighbor_order(pairwise_sq_distances(g))
+    indices, sorted_distances = neighbor_order(pairwise_sq_distances(g))
     n = len(rows)
     for k in range(n):
         expected = ref_sorted_neighbors(rows, k)
-        assert order.indices[k].tolist() == [idx for _, idx in expected]
-        assert sorted(order.indices[k].tolist()) == [j for j in range(n) if j != k]
-        assert np.all(np.diff(order.distances[k]) >= 0)
+        assert indices[k].tolist() == [idx for _, idx in expected]
+        assert sorted(indices[k].tolist()) == [j for j in range(n) if j != k]
+        assert np.all(np.diff(sorted_distances[k]) >= 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,16 +105,16 @@ def test_neighbor_order_permutation_equivariant(rows, rnd):
     n = len(rows)
     perm = list(range(n))
     rnd.shuffle(perm)
-    base = neighbor_order(pairwise_sq_distances(GradientSet(np.array(rows))))
-    permuted = neighbor_order(
+    base_indices, base_distances = neighbor_order(pairwise_sq_distances(GradientSet(np.array(rows))))
+    permuted, _ = neighbor_order(
         pairwise_sq_distances(GradientSet(np.array([rows[p] for p in perm])))
     )
     # relabeling clients relabels the orderings identically, up to distance ties
     inverse = np.argsort(perm)
     for new_k in range(n):
         old_k = perm[new_k]
-        if len(set(base.distances[old_k].tolist())) == n - 1:
-            assert [perm[j] for j in permuted.indices[new_k]] == base.indices[old_k].tolist()
+        if len(set(base_distances[old_k].tolist())) == n - 1:
+            assert [perm[j] for j in permuted[new_k]] == base_indices[old_k].tolist()
 
 
 def test_stats_scalar_pair():

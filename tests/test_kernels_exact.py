@@ -50,7 +50,6 @@ from robustfed.engine import (
 from robustfed.geometry import (
     GATHER_BYTES,
     GradientSet,
-    NeighborOrder,
     neighbor_order,
     pairwise_sq_distances,
     vector_set_stats,
@@ -59,7 +58,6 @@ from robustfed.models import ModelSpec, evaluate, init_params, model_gradient
 from robustfed.prodigy import (
     EPSILON_GUARD,
     DegenerateRoundError,
-    ProdigyParams,
     dissimilarity_scores,
     prodigy_aggregate,
 )
@@ -75,13 +73,10 @@ def loop_pairwise_sq_distances(g: GradientSet) -> np.ndarray:
     return out
 
 
-def loop_neighbor_order(m: np.ndarray) -> NeighborOrder:
+def loop_neighbor_order(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(m)
     if n < 2:
-        return NeighborOrder(
-            indices=np.empty((n, 0), dtype=np.intp),
-            distances=np.empty((n, 0), dtype=np.float64),
-        )
+        return np.empty((n, 0), dtype=np.intp), np.empty((n, 0), dtype=np.float64)
     indices = np.empty((n, n - 1), dtype=np.intp)
     distances = np.empty((n, n - 1), dtype=np.float64)
     for k in range(n):
@@ -90,7 +85,7 @@ def loop_neighbor_order(m: np.ndarray) -> NeighborOrder:
         order = np.argsort(row, kind="stable")
         indices[k] = others[order]
         distances[k] = row[order]
-    return NeighborOrder(indices=indices, distances=distances)
+    return indices, distances
 
 
 def loop_vector_set_stats(subset):
@@ -101,13 +96,13 @@ def loop_vector_set_stats(subset):
     return mean, spread
 
 
-def loop_dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyParams):
-    n, f = p.n_clients, p.n_byzantine
+def loop_dissimilarity_scores(g: GradientSet, indices, sorted_distances, f: int):
+    n = g.n_clients
     if f == 1:
         return np.ones(n)
     scores = np.empty(n)
     for k in range(n):
-        members = np.concatenate(([k], order.indices[k, : f - 1]))
+        members = np.concatenate(([k], indices[k, : f - 1]))
         mean, spread = loop_vector_set_stats(g.vectors[members])
         scores[k] = spread / (float(np.linalg.norm(mean)) + EPSILON_GUARD)
     return scores
@@ -115,10 +110,10 @@ def loop_dissimilarity_scores(g: GradientSet, order: NeighborOrder, p: ProdigyPa
 
 def loop_nnm_mix(g: GradientSet, f: int) -> GradientSet:
     n = g.n_clients
-    order = loop_neighbor_order(loop_pairwise_sq_distances(g))
+    indices, _ = loop_neighbor_order(loop_pairwise_sq_distances(g))
     mixed = np.empty_like(g.vectors)
     for k in range(n):
-        members = np.concatenate(([k], order.indices[k, : n - f - 1]))
+        members = np.concatenate(([k], indices[k, : n - f - 1]))
         mixed[k] = g.vectors[members].mean(axis=0)
     return GradientSet(mixed)
 
@@ -164,9 +159,9 @@ KRUM_REFERENCES = (loop_pairwise_sq_distances, loop_neighbor_order)
 PRODIGY_REFERENCES = KRUM_REFERENCES + (loop_dissimilarity_scores,)
 
 
-def prodigy_outcome(g, p):
+def prodigy_outcome(g, f):
     try:
-        vector, trust = prodigy_aggregate(g, p)
+        vector, trust = prodigy_aggregate(g, f)
     except DegenerateRoundError as err:
         vector, trust = None, err.scores
     parts = (trust.proximity, trust.dissimilarity, trust.composite, trust.final)
@@ -193,8 +188,8 @@ def assert_kernels_exact(vectors: np.ndarray) -> None:
     assert same_bits(entries, loop_pairwise_sq_distances(g))
     order = neighbor_order(entries)
     expected = loop_neighbor_order(entries)
-    assert np.array_equal(order.indices, expected.indices)
-    assert same_bits(order.distances, expected.distances)
+    assert np.array_equal(order[0], expected[0])
+    assert same_bits(order[1], expected[1])
 
     for f in range(n):
         assert same_bits(nnm_mix(g, f).vectors, loop_nnm_mix(g, f).vectors)
@@ -204,14 +199,13 @@ def assert_kernels_exact(vectors: np.ndarray) -> None:
         assert_ran(calls, *KRUM_REFERENCES)
         assert same_bits(krum(g, f), reference)
     for f in range(1, (n + 1) // 2):
-        p = ProdigyParams(n, f)
         assert same_bits(
-            dissimilarity_scores(g, order, p), loop_dissimilarity_scores(g, order, p)
+            dissimilarity_scores(g, *order, f), loop_dissimilarity_scores(g, *order, f)
         )
         with loop_kernels() as calls:
-            ref_vector, ref_parts, ref_threshold = prodigy_outcome(g, p)
+            ref_vector, ref_parts, ref_threshold = prodigy_outcome(g, f)
         assert_ran(calls, *PRODIGY_REFERENCES)
-        vector, parts, threshold = prodigy_outcome(g, p)
+        vector, parts, threshold = prodigy_outcome(g, f)
         assert (vector is None) == (ref_vector is None)
         if vector is not None:
             assert same_bits(vector, ref_vector)
@@ -461,11 +455,10 @@ def test_kernels_match_loops_at_wide_scale():
     assert np.array_equal(entries, loop_pairwise_sq_distances(g))
     order = neighbor_order(entries)
     expected = loop_neighbor_order(entries)
-    assert np.array_equal(order.indices, expected.indices)
-    assert np.array_equal(order.distances, expected.distances)
-    p = ProdigyParams(n, f)
+    assert np.array_equal(order[0], expected[0])
+    assert np.array_equal(order[1], expected[1])
     assert np.array_equal(
-        dissimilarity_scores(g, order, p), loop_dissimilarity_scores(g, order, p)
+        dissimilarity_scores(g, *order, f), loop_dissimilarity_scores(g, *order, f)
     )
     assert np.array_equal(nnm_mix(g, f).vectors, loop_nnm_mix(g, f).vectors)
 

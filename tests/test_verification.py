@@ -8,20 +8,20 @@ import numpy as np
 
 from robustfed.geometry import GradientSet, neighbor_order, pairwise_sq_distances
 from robustfed.oracles import ref_prodigy
-from robustfed.prodigy import ProdigyParams, prodigy_aggregate
+from robustfed.prodigy import prodigy_aggregate
 
 
 def _mutant_prodigy(vectors: np.ndarray, f: int, window_shift=0, strict_threshold=False):
     """Library-style pipeline with injectable bugs."""
     n = vectors.shape[0]
     eps = 1e-12
-    order = neighbor_order(pairwise_sq_distances(GradientSet(vectors.copy())))
+    indices, sorted_distances = neighbor_order(pairwise_sq_distances(GradientSet(vectors.copy())))
     lo = f - 1 + window_shift
     hi = n - f - 1 + window_shift
-    s_p = 1.0 / (order.distances[:, lo:hi].sum(axis=1) + eps)
+    s_p = 1.0 / (sorted_distances[:, lo:hi].sum(axis=1) + eps)
     s_d = np.empty(n)
     for k in range(n):
-        members = np.concatenate(([k], order.indices[k, : f - 1]))
+        members = np.concatenate(([k], indices[k, : f - 1]))
         sub = vectors[members]
         mu = sub.mean(axis=0)
         spread = float(np.sqrt(((sub - mu) ** 2).sum(axis=1).mean()))
@@ -75,11 +75,11 @@ def test_exact_f_property_catches_strict_threshold():
         out = _mutant_prodigy(vectors, 2, strict_threshold=True)
         # recompute zero count under the mutant rule
         n = 7
-        order = neighbor_order(pairwise_sq_distances(GradientSet(vectors.copy())))
-        s_p = 1.0 / (order.distances[:, 1:4].sum(axis=1) + 1e-12)
+        indices, sorted_distances = neighbor_order(pairwise_sq_distances(GradientSet(vectors.copy())))
+        s_p = 1.0 / (sorted_distances[:, 1:4].sum(axis=1) + 1e-12)
         s_d = np.empty(n)
         for k in range(n):
-            members = np.concatenate(([k], order.indices[k, :1]))
+            members = np.concatenate(([k], indices[k, :1]))
             sub = vectors[members]
             mu = sub.mean(axis=0)
             s_d[k] = float(np.sqrt(((sub - mu) ** 2).sum(axis=1).mean())) / (
@@ -97,7 +97,7 @@ def test_library_itself_passes_both_properties():
     rng = np.random.default_rng(1618)
     for _ in range(200):
         vectors = rng.standard_normal((7, 3))
-        agg, scores = prodigy_aggregate(GradientSet(vectors.copy()), ProdigyParams(7, 2))
+        agg, scores = prodigy_aggregate(GradientSet(vectors.copy()), 2)
         expected, _ = ref_prodigy(vectors, 2)
         assert np.max(np.abs(agg - expected)) <= 1e-10
         assert int(np.sum(scores.final == 0.0)) == 2
