@@ -6,11 +6,11 @@ Runs the 126 criterion-7 cells (``sweep.CRIT7_*``) and the determinism
 config of ``verification`` at seeds 7 and 8, through ``sweep.run_sweep``,
 and maps each cell to the hashes of its two artifacts. The grid's sets are
 N=10, so it also calls ``pairwise_sq_distances``, ``nnm_mix`` and the 7
-criterion-7 defenses directly on fixed N=100, d=10 000 sets, which take the
-wide path, and hashes the distances, the mixed set, each aggregate and
-prodigy's scores. It prints
-one JSON object. A change that must keep results bit for bit prints the
-same object as its parent:
+criterion-7 defenses, and the median, trimmed mean, geomed and cclip without
+mixing, directly on fixed N=100, d=10 000 sets, which take the wide path and
+reduce in tiles, and hashes the distances, the mixed set, each aggregate and
+prodigy's scores. It prints one JSON object. A change that must keep
+results bit for bit prints the same object as its parent:
 
     python3 scripts/artifact_hashes.py --jobs 2 > change.json
     (same command in a checkout of the parent) > parent.json
@@ -35,6 +35,9 @@ from robustfed.sweep import CRIT7_DEFENSES, CRIT7_SEEDS, SweepSpec, crit7_sweep,
 from robustfed.verification import _determinism_config
 
 ARTIFACTS = ("metrics.csv", "trust_scores.jsonl")
+# The rules that the criterion-7 grid runs only after mixing, hashed without it
+# on the wide sets too.
+PLAIN_WIDE_KINDS = ("median", "trimmed_mean", "geomed", "cclip")
 DETERMINISM_SEEDS = [7, 8]
 WIDE_N, WIDE_D, WIDE_F = 100, 10_000, 20
 
@@ -92,7 +95,8 @@ def wide_hashes() -> dict[str, dict[str, str]]:
         g = GradientSet(vectors)
         hashes[f"wide/{name}/distances"] = {"entries": digest(pairwise_sq_distances(g))}
         hashes[f"wide/{name}/nnm_mix"] = {"mixed": digest(nnm_mix(g, WIDE_F).vectors)}
-        for label, defense in CRIT7_DEFENSES:
+        plain = [(kind, {"kind": kind}) for kind in PLAIN_WIDE_KINDS]
+        for label, defense in [*CRIT7_DEFENSES, *plain]:
             spec = AggregatorSpec(defense["kind"], nnm_enabled=defense.get("nnm", False))
             state = AggregatorState(vectors[WIDE_F:].mean(axis=0))  # cclip's warm start
             try:

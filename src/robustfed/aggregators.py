@@ -13,10 +13,13 @@ import numpy as np
 
 from .geometry import (
     GradientSet,
+    add_rows,
+    column_tiles,
     copy_sources,
     distances_of,
     neighbor_order,
     neighborhood_blocks,
+    row_tiles,
     wide_set,
 )
 from .prodigy import TrustScores, check_prodigy_counts, prodigy_aggregate
@@ -76,11 +79,32 @@ def coordinate_median(g: GradientSet) -> np.ndarray:
     Where +0.0 and -0.0 tie in the middle, the zero may carry the other sign,
     since ``np.median`` partitions instead of sorting.
     """
-    ordered = np.sort(g.vectors, axis=0)
     mid = g.n_clients // 2
     if g.n_clients % 2:
-        return ordered[mid].copy()
-    return (ordered[mid - 1] + ordered[mid]) / 2
+        return _over_sorted_columns(g, lambda ordered: ordered[mid].copy())
+    return _over_sorted_columns(g, lambda ordered: (ordered[mid - 1] + ordered[mid]) / 2)
+
+
+def _over_sorted_columns(g: GradientSet, reduce) -> np.ndarray:
+    """``reduce(np.sort(g.vectors, axis=0))`` for a ``reduce`` that maps an
+    (N, w) set of sorted columns to their w values.
+
+    A set wider than one tile (``column_tiles``) is sorted and reduced a
+    tile of columns at a time in one reused buffer. Each column sorts on
+    its own, and a reduction of a slice of two or more columns gives each
+    column the bits the whole set gives it.
+    """
+    tiles = column_tiles(g)
+    if len(tiles) == 1:
+        return reduce(np.sort(g.vectors, axis=0))
+    out = np.empty(g.dim)
+    buffer = np.empty((g.n_clients, tiles[0].stop))
+    for cols in tiles:
+        ordered = buffer[:, : cols.stop - cols.start]
+        np.copyto(ordered, g.vectors[:, cols])
+        ordered.sort(axis=0)
+        out[cols] = reduce(ordered)
+    return out
 
 
 def check_trim_counts(n: int, q: int) -> None:
@@ -97,8 +121,7 @@ def trimmed_mean(g: GradientSet, q: int) -> np.ndarray:
     check_trim_counts(n, q)
     if q == 0:
         return average(g)
-    ordered = np.sort(g.vectors, axis=0)
-    return ordered[q : n - q].mean(axis=0)
+    return _over_sorted_columns(g, lambda ordered: ordered[q : n - q].mean(axis=0))
 
 
 def geometric_median(g: GradientSet, nu: float, rounds: int) -> np.ndarray:
@@ -112,17 +135,35 @@ def geometric_median(g: GradientSet, nu: float, rounds: int) -> np.ndarray:
     if nu <= 0 or rounds < 1:
         raise ValueError("need nu > 0 and rounds >= 1")
     v = g.vectors.mean(axis=0)
+    tiles = row_tiles(g)
     for _ in range(rounds):
-        residuals = g.vectors - v
-        with np.errstate(over="ignore"):  # an overflowing norm is taken scaled
-            residual_norms = np.linalg.norm(residuals, axis=1)
+        residual_norms = np.empty(g.n_clients)
+        for rows, residuals in _residual_tiles(g, v, tiles):
+            with np.errstate(over="ignore"):  # an overflowing norm is taken scaled
+                residual_norms[rows] = np.linalg.norm(residuals, axis=1)
         if not np.isfinite(residual_norms).all():
-            scale = np.abs(residuals).max(axis=1)
-            scaled = residuals / np.where(scale > 0, scale, 1.0)[:, None]
-            residual_norms = scale * np.linalg.norm(scaled, axis=1)
+            for rows, residuals in _residual_tiles(g, v, tiles):
+                scale = np.abs(residuals).max(axis=1)
+                scaled = residuals / np.where(scale > 0, scale, 1.0)[:, None]
+                residual_norms[rows] = scale * np.linalg.norm(scaled, axis=1)
         weights = 1.0 / np.maximum(nu, residual_norms)
         v = (weights @ g.vectors) / weights.sum()
     return v
+
+
+def _residual_tiles(g: GradientSet, center: np.ndarray, tiles: list[slice]):
+    """Yield ``(rows, g.vectors[rows] - center)`` over ``tiles``, the
+    ``row_tiles(g)``.
+
+    A set of one tile yields its whole residual set; a larger one yields
+    each tile's residuals in one reused buffer, valid until the next tile.
+    """
+    if len(tiles) == 1:
+        yield tiles[0], g.vectors - center
+        return
+    buffer = np.empty((tiles[0].stop, g.dim))
+    for rows in tiles:
+        yield rows, np.subtract(g.vectors[rows], center, out=buffer[: rows.stop - rows.start])
 
 
 def check_krum_counts(n: int, f: int) -> None:
@@ -148,6 +189,10 @@ def centered_clip(g: GradientSet, state: AggregatorState | None, tau: float, ite
 
     The start point is the previous round's aggregate (zero before round 0);
     zero residuals contribute zero regardless of the clip factor.
+
+    A set larger than one tile (``row_tiles``) is clipped a tile of rows at
+    a time: each row's factor depends on that row alone, and the clipped
+    rows are added to one running sum in row order (``add_rows``).
     """
     if tau <= 0 or iters < 1:
         raise ValueError("need tau > 0 and iters >= 1")
@@ -155,14 +200,27 @@ def centered_clip(g: GradientSet, state: AggregatorState | None, tau: float, ite
         center = np.array(state.prev_aggregate, dtype=np.float64)
     else:
         center = np.zeros(g.dim)
+    tiles = row_tiles(g)
     for _ in range(iters):
-        residuals = g.vectors - center
-        norms = np.linalg.norm(residuals, axis=1)
-        factors = np.ones(g.n_clients)
-        over = norms > tau
-        factors[over] = tau / norms[over]
-        center = center + (factors[:, None] * residuals).mean(axis=0)
+        if len(tiles) == 1:
+            residuals = g.vectors - center
+            factors = _clip_factors(np.linalg.norm(residuals, axis=1), tau)
+            center = center + (factors[:, None] * residuals).mean(axis=0)
+            continue
+        total = np.zeros(g.dim)
+        for _, residuals in _residual_tiles(g, center, tiles):
+            residuals *= _clip_factors(np.linalg.norm(residuals, axis=1), tau)[:, None]
+            add_rows(total, residuals)
+        center = center + total / g.n_clients
     return center
+
+
+def _clip_factors(norms: np.ndarray, tau: float) -> np.ndarray:
+    """Per row, the factor that clips a residual of norm ``norms`` to ``tau``."""
+    factors = np.ones(len(norms))
+    over = norms > tau
+    factors[over] = tau / norms[over]
+    return factors
 
 
 def check_nnm_counts(n: int, f: int) -> None:

@@ -22,6 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from .aggregators import Aggregator, AggregatorSpec
 from .attacks import ALIE_MIN_Z, AttackSpec
 from .models import ModelSpec
+from .prodigy import check_honest_majority
 
 
 class ConfigError(ValueError):
@@ -108,11 +109,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("n_clients: must be at least 1")
     if cfg.n_byzantine < 0:
         raise ConfigError("n_byzantine: must be nonnegative")
-    if 2 * cfg.n_byzantine >= cfg.n_clients:
-        raise ConfigError(
-            f"n_byzantine: adversarial model requires f < N/2, "
-            f"got N={cfg.n_clients}, f={cfg.n_byzantine}"
-        )
+    try:
+        check_honest_majority(cfg.n_clients, cfg.n_byzantine)
+    except ValueError as err:
+        raise ConfigError(f"n_byzantine: {err}") from None
     if cfg.attack.kind != "none" and cfg.n_byzantine < 1:
         raise ConfigError(f"attack.kind: {cfg.attack.kind!r} configured but n_byzantine=0")
     if cfg.attack.kind == "alie" and cfg.attack.search and cfg.attack.z < ALIE_MIN_Z:

@@ -15,10 +15,12 @@ import numpy as np
 
 from .geometry import (
     GradientSet,
+    add_rows,
     copy_sources,
     distances_of,
     neighbor_order,
     neighborhood_blocks,
+    row_tiles,
     vector_set_stats,
     wide_set,
 )
@@ -41,12 +43,17 @@ class DegenerateRoundError(RuntimeError):
 EPSILON_GUARD = 1e-12
 
 
+def check_honest_majority(n: int, f: int) -> None:
+    """The adversarial model: fewer than half of the N clients are byzantine."""
+    if 2 * f >= n:
+        raise ValueError(f"adversarial model requires f < N/2, got N={n}, f={f}")
+
+
 def check_prodigy_counts(n: int, f: int) -> None:
     """The scoring presumes 1 <= f < N/2 byzantine clients among N."""
     if f < 1:
         raise ValueError(f"need at least one presumed byzantine client, got f={f}")
-    if 2 * f >= n:
-        raise ValueError(f"adversarial model requires f < N/2, got N={n}, f={f}")
+    check_honest_majority(n, f)
 
 
 @dataclass
@@ -114,8 +121,32 @@ def prodigy_aggregate(g: GradientSet, f: int) -> tuple[np.ndarray, TrustScores]:
     The threshold equals the f-th smallest composite score (ties toward the
     lower client index) and the comparison is inclusive, so at least f clients
     are always filtered. Raises DegenerateRoundError if nothing survives.
+
+    Where the composite scores or the aggregate are not finite, because
+    distances, neighborhood moments or weighted rows overflow, the set is
+    scored and averaged again divided by the power of two that brings its
+    largest component to [2^255, 2^256), and the aggregate is multiplied
+    back. There no square, score or weighted row can overflow, and small
+    rows keep as much room above EPSILON_GUARD as overflow allows. The
+    division is exact except where a component becomes subnormal, and the
+    scores returned are those of the divided set. Finite results keep
+    their bits.
     """
     check_prodigy_counts(g.n_clients, f)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is scored again, divided
+        scores = trust_scores(g, f)
+        if np.isfinite(scores.composite).all():
+            aggregate = trust_weighted_mean(g, scores)
+            if np.isfinite(aggregate).all():
+                return aggregate, scores
+    exponent = int(np.frexp(np.abs(g.vectors).max())[1]) - 256
+    divided = GradientSet(np.ldexp(g.vectors, -exponent))
+    scores = trust_scores(divided, f)
+    return np.ldexp(trust_weighted_mean(divided, scores), exponent), scores
+
+
+def trust_scores(g: GradientSet, f: int) -> TrustScores:
+    """Every client's scores, and the f lowest composites zeroed."""
     indices, sorted_distances = neighbor_order(distances_of(g))
     s_p = proximity_scores(sorted_distances, f)
     s_d = dissimilarity_scores(g, indices, sorted_distances, f)
@@ -125,19 +156,39 @@ def prodigy_aggregate(g: GradientSet, f: int) -> tuple[np.ndarray, TrustScores]:
     threshold = float(composite[ranking[f - 1]])
     final = np.where(composite <= threshold, 0.0, composite)
 
-    scores = TrustScores(
+    return TrustScores(
         proximity=s_p,
         dissimilarity=s_d,
         composite=composite,
         final=final,
         threshold=threshold,
     )
-    # Summing in weight-sorted order makes the output a function of the score
-    # multiset alone, so relabeling clients cannot perturb even the last bit.
+
+
+def trust_weighted_mean(g: GradientSet, scores: TrustScores) -> np.ndarray:
+    """The rows of ``g`` averaged with the final scores as weights; raises
+    DegenerateRoundError if the weights sum to zero.
+
+    Summing in weight-sorted order makes the output a function of the score
+    multiset alone, so relabeling clients cannot perturb even the last bit.
+    A set larger than one tile (``row_tiles``) weights a tile of sorted rows
+    at a time in one reused buffer and adds them to one running sum in that
+    order (``add_rows``).
+    """
+    final = scores.final
     canonical = np.argsort(final, kind="stable")
     total = final[canonical].sum()
     if total == 0.0:
         raise DegenerateRoundError(scores)
-    weighted = final[canonical, None] * g.vectors[canonical]
-    aggregate = weighted.sum(axis=0) / total
-    return aggregate, scores
+    tiles = row_tiles(g)
+    if len(tiles) == 1:
+        weighted = final[canonical, None] * g.vectors[canonical]
+        return weighted.sum(axis=0) / total
+    weighted_sum = np.zeros(g.dim)
+    buffer = np.empty((tiles[0].stop, g.dim))
+    for rows in tiles:
+        order = canonical[rows]
+        weighted = np.take(g.vectors, order, axis=0, out=buffer[: len(order)])
+        weighted *= final[order, None]
+        add_rows(weighted_sum, weighted)
+    return weighted_sum / total

@@ -255,20 +255,51 @@ def test_count_check_is_shared_by_aggregator_and_rule(case):
     assert str(at_init.value) == str(at_call.value) == message
 
 
-@pytest.mark.parametrize("scaled", ["all rows 1e200", "all rows 1e307", "one row 1e160"])
-@pytest.mark.parametrize("nnm", [False, True])
-def test_geomed_stays_finite_when_residual_norms_overflow(scaled, nnm):
-    """The squares of the residuals overflow; the aggregate must not."""
+OVERFLOWING_SETS = ["all rows 1e200", "all rows 1e307", "one row 1e160"]
+
+
+def overflowing_set(scaled: str) -> np.ndarray:
+    """An N=10, d=50 Gaussian set whose squared distances overflow."""
     vectors = np.random.default_rng(0).standard_normal((10, 50))
     if scaled == "one row 1e160":
         vectors[0] *= 1e160
     else:
         vectors *= float(scaled.split()[-1])
-    out = Aggregator(AggregatorSpec("geomed", nnm_enabled=nnm), 10, 3)(GradientSet(vectors)).vector
+    return vectors
+
+
+def assert_inside_bounding_box(out: np.ndarray, vectors: np.ndarray) -> None:
     assert np.isfinite(out).all()
     lo, hi = vectors.min(axis=0), vectors.max(axis=0)
     slack = 1e-12 * (hi - lo)
     assert np.all(out >= lo - slack) and np.all(out <= hi + slack)
+
+
+@pytest.mark.parametrize("scaled", OVERFLOWING_SETS)
+@pytest.mark.parametrize("nnm", [False, True])
+def test_geomed_stays_finite_when_residual_norms_overflow(scaled, nnm):
+    """The squares of the residuals overflow; the aggregate must not."""
+    vectors = overflowing_set(scaled)
+    out = Aggregator(AggregatorSpec("geomed", nnm_enabled=nnm), 10, 3)(GradientSet(vectors)).vector
+    assert_inside_bounding_box(out, vectors)
+
+
+@pytest.mark.parametrize("scaled", OVERFLOWING_SETS)
+def test_prodigy_stays_finite_when_its_scores_overflow(scaled):
+    """Distances and neighbourhood moments overflow, so the plain scores are
+    NaN; prodigy scores the set divided by a power of two instead. Scaling
+    every row filters the clients the unscaled set filters, and the row
+    scaled alone, far from every other, is filtered."""
+    vectors = overflowing_set(scaled)
+    out, trust = prodigy_aggregate(GradientSet(vectors), 3)
+    assert_inside_bounding_box(out, vectors)
+    assert np.isfinite(trust.composite).all()
+    filtered = np.flatnonzero(trust.final == 0.0)
+    if scaled == "one row 1e160":
+        assert 0 in filtered
+    else:
+        _, unscaled = prodigy_aggregate(GradientSet(overflowing_set("all rows 1")), 3)
+        assert np.array_equal(filtered, np.flatnonzero(unscaled.final == 0.0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -39,7 +39,8 @@ def test_unknown_keys_rejected_with_path():
 
 
 def test_byzantine_majority_rejected():
-    with pytest.raises(ConfigError, match="f < N/2"):
+    message = r"^n_byzantine: adversarial model requires f < N/2, got N=10, f=5$"
+    with pytest.raises(ConfigError, match=message):
         parse_config('{"n_clients": 10, "n_byzantine": 5}')
 
 

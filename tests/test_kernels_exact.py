@@ -3,12 +3,15 @@
 The loop functions below are the earlier implementations of the same
 kernels: the geometry kernels, the attack search that built every candidate
 set and its distances afresh, and the model gradient, client update and
-round loop that ran one client at a time. The vectorized kernels keep every
-floating-point operation and its order, so results must be equal bit for
-bit, not within a tolerance; the tolerance-based checks against independent
-oracles live in the other test files.
+round loop that ran one client at a time. The ``whole_*`` functions are
+the earlier rules that reduced a set in whole-set expressions, which the
+rules now run a tile at a time on wide sets. The vectorized kernels keep
+every floating-point operation and its order, so results must be equal bit
+for bit, not within a tolerance; the tolerance-based checks against
+independent oracles live in the other test files.
 """
 
+import tracemalloc
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from unittest import mock
@@ -21,11 +24,19 @@ from hypothesis import strategies as st
 from robustfed import aggregators, geometry, prodigy
 from robustfed.aggregators import (
     AGGREGATOR_KINDS,
+    CLIP_ITERS,
+    CLIP_TAU,
+    WEISZFELD_NU,
+    WEISZFELD_ROUNDS,
     Aggregator,
     AggregatorSpec,
     AggregatorState,
+    centered_clip,
+    coordinate_median,
+    geometric_median,
     krum,
     nnm_mix,
+    trimmed_mean,
 )
 from robustfed.attacks import (
     LOCAL_ATTACK_KINDS,
@@ -108,6 +119,62 @@ def loop_dissimilarity_scores(g: GradientSet, indices, sorted_distances, f: int)
     return scores
 
 
+def whole_coordinate_median(g: GradientSet) -> np.ndarray:
+    ordered = np.sort(g.vectors, axis=0)
+    mid = g.n_clients // 2
+    if g.n_clients % 2:
+        return ordered[mid].copy()
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def whole_trimmed_mean(g: GradientSet, q: int) -> np.ndarray:
+    n = g.n_clients
+    if q == 0:
+        return g.vectors.mean(axis=0)
+    ordered = np.sort(g.vectors, axis=0)
+    return ordered[q : n - q].mean(axis=0)
+
+
+def whole_geometric_median(g: GradientSet, nu: float, rounds: int) -> np.ndarray:
+    v = g.vectors.mean(axis=0)
+    for _ in range(rounds):
+        residuals = g.vectors - v
+        with np.errstate(over="ignore"):
+            residual_norms = np.linalg.norm(residuals, axis=1)
+        if not np.isfinite(residual_norms).all():
+            scale = np.abs(residuals).max(axis=1)
+            scaled = residuals / np.where(scale > 0, scale, 1.0)[:, None]
+            residual_norms = scale * np.linalg.norm(scaled, axis=1)
+        weights = 1.0 / np.maximum(nu, residual_norms)
+        v = (weights @ g.vectors) / weights.sum()
+    return v
+
+
+def whole_centered_clip(g: GradientSet, state, tau: float, iters: int) -> np.ndarray:
+    if state is not None and state.prev_aggregate is not None:
+        center = np.array(state.prev_aggregate, dtype=np.float64)
+    else:
+        center = np.zeros(g.dim)
+    for _ in range(iters):
+        residuals = g.vectors - center
+        norms = np.linalg.norm(residuals, axis=1)
+        factors = np.ones(g.n_clients)
+        over = norms > tau
+        factors[over] = tau / norms[over]
+        center = center + (factors[:, None] * residuals).mean(axis=0)
+    return center
+
+
+def whole_trust_weighted_mean(g: GradientSet, scores) -> np.ndarray:
+    final = scores.final
+    canonical = np.argsort(final, kind="stable")
+    total = final[canonical].sum()
+    if total == 0.0:
+        raise DegenerateRoundError(scores)
+    weighted = final[canonical, None] * g.vectors[canonical]
+    return weighted.sum(axis=0) / total
+
+
 def loop_nnm_mix(g: GradientSet, f: int) -> GradientSet:
     n = g.n_clients
     indices, _ = loop_neighbor_order(loop_pairwise_sq_distances(g))
@@ -146,6 +213,9 @@ def loop_kernels():
         stack.enter_context(
             mock.patch.object(prodigy, "dissimilarity_scores", counted(loop_dissimilarity_scores))
         )
+        stack.enter_context(
+            mock.patch.object(prodigy, "trust_weighted_mean", counted(whole_trust_weighted_mean))
+        )
         stack.enter_context(mock.patch.object(aggregators, "nnm_mix", counted(loop_nnm_mix)))
         yield calls
 
@@ -156,7 +226,7 @@ def assert_ran(calls: Counter, *references) -> None:
 
 
 KRUM_REFERENCES = (loop_pairwise_sq_distances, loop_neighbor_order)
-PRODIGY_REFERENCES = KRUM_REFERENCES + (loop_dissimilarity_scores,)
+PRODIGY_REFERENCES = KRUM_REFERENCES + (loop_dissimilarity_scores, whole_trust_weighted_mean)
 
 
 def prodigy_outcome(g, f):
@@ -179,10 +249,30 @@ def wide_path():
     return mock.patch.object(geometry, "GATHER_BYTES", 0)
 
 
+def assert_rules_exact(g: GradientSet) -> None:
+    """The rules that reduce a wide set in tiles against their whole-set
+    expressions: the median, every trim count, geomed, and cclip from zero
+    and from a warm start near half the rows."""
+    n = g.n_clients
+    assert same_bits(coordinate_median(g), whole_coordinate_median(g))
+    for q in range((n + 1) // 2):
+        assert same_bits(trimmed_mean(g, q), whole_trimmed_mean(g, q))
+    assert same_bits(
+        geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS),
+        whole_geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS),
+    )
+    for state in (None, AggregatorState(g.vectors[n // 2 :].mean(axis=0))):
+        assert same_bits(
+            centered_clip(g, state, CLIP_TAU, CLIP_ITERS),
+            whole_centered_clip(g, state, CLIP_TAU, CLIP_ITERS),
+        )
+
+
 def assert_kernels_exact(vectors: np.ndarray) -> None:
     """Every kernel and every rule built on them, for each admissible f."""
     g = GradientSet(vectors)
     n = g.n_clients
+    assert_rules_exact(g)
 
     entries = pairwise_sq_distances(g)
     assert same_bits(entries, loop_pairwise_sq_distances(g))
@@ -450,6 +540,8 @@ def test_kernels_match_loops_at_wide_scale():
     byz = honest.mean(axis=0) - honest.std(axis=0)
     g = GradientSet(np.vstack([np.tile(byz, (f, 1)), honest]))
     assert f * d * 8 > GATHER_BYTES
+    assert len(geometry.row_tiles(g)) == 25 and len(geometry.column_tiles(g)) == 23
+    assert_rules_exact(g)
 
     entries = pairwise_sq_distances(g)
     assert np.array_equal(entries, loop_pairwise_sq_distances(g))
@@ -473,6 +565,95 @@ def test_kernels_match_loops_at_wide_scale():
         assert np.array_equal(result.vector, reference.vector)
         if result.trust is not None:
             assert np.array_equal(result.trust.final, reference.trust.final)
+
+
+# --- the rules in tiles -------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets_with_duplicates(max_n=14), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_rules_match_whole_set_expressions_in_any_tile(vectors, rows, seed):
+    """Tied rows with signed zeros, in one tile or up to seven, whose last
+    tile of rows or columns may hold one; N = 2f+1 and d = 1 among them."""
+    rng = np.random.default_rng(seed)
+    zeros = rng.random(vectors.shape) < 0.3
+    vectors[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+    with tiles_of(rows, vectors.shape[1]):
+        assert_kernels_exact(vectors)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+@pytest.mark.parametrize("d", [9, 10])
+def test_rules_in_tiles_with_one_row_and_one_column_tails(n, d):
+    """Tiles of 10 rows and 2 columns: at N=41 the last row tile holds one
+    row, and at d=9 the last column tile would hold one column. numpy sums
+    one column of nine or more values pairwise, not row after row, so that
+    column is reduced within a slice of two. Even and odd N take the median
+    each way."""
+    rng = np.random.default_rng(n + d)
+    vectors = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    vectors[[5, 17, 33]] = vectors[2]
+    with tiles_of(10, d):
+        g = GradientSet(vectors)
+        assert geometry.tile_columns(g) == 2
+        assert len(geometry.row_tiles(g)) == (5 if n == 41 else 4)
+        assert_kernels_exact(vectors)
+
+
+def test_geomed_rescales_every_tile_when_a_later_row_overflows():
+    """Row 9, in the fourth tile of three rows, overflows its plain norm,
+    so every row's norm is taken scaled, those of the earlier tiles too,
+    whose plain norms are finite."""
+    rng = np.random.default_rng(36)
+    vectors = rng.standard_normal((11, 16))
+    vectors[9] *= 4e154 / np.linalg.norm(vectors[9])
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(vectors - vectors.mean(axis=0), axis=1)
+    assert np.isinf(plain[9]) and np.isfinite(np.delete(plain, 9)).all()
+    with tiles_of(3, 16):
+        g = GradientSet(vectors)
+        assert len(geometry.row_tiles(g)) == 4
+        assert same_bits(
+            geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS),
+            whole_geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS),
+        )
+
+
+# Per rule, its tracemalloc peak bound on an N=100, d=10 000 set, in units of
+# GATHER_BYTES. A baseline holds a tile buffer of GATHER_BYTES / 3 and one
+# temporary of its size (the squares of a norm, or a sort's copy), plus a few
+# d-vectors of 80 kB: under one GATHER_BYTES (0.4-0.8 MiB measured). prodigy
+# also holds its neighbourhood gather and that gather's deviations from its
+# mean, up to GATHER_BYTES each, and the distance sweep's tiles: under four
+# (3.4 MiB measured). One (N, d) temporary is 7.6 MiB, over seven GATHER_BYTES,
+# and each rule built one or two until it reduced wide sets in tiles.
+PEAK_BOUNDS = {
+    "median": (lambda g, f: coordinate_median(g), 1),
+    "trimmed_mean": (lambda g, f: trimmed_mean(g, f), 1),
+    "geomed": (lambda g, f: geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS), 1),
+    "cclip": (
+        lambda g, f: centered_clip(g, AggregatorState(g.vectors[f:].mean(axis=0)), CLIP_TAU, CLIP_ITERS),
+        1,
+    ),
+    "prodigy": (lambda g, f: prodigy_aggregate(g, f), 4),
+}
+
+
+@pytest.mark.parametrize("kind", PEAK_BOUNDS)
+def test_wide_rules_allocate_no_full_size_temporary(kind):
+    n, d, f = 100, 10_000, 20
+    rng = np.random.default_rng(8)
+    honest = 0.5 * rng.standard_normal(d) + rng.standard_normal((n - f, d))
+    g = GradientSet(np.vstack([honest[:f] + 1e-3 * rng.standard_normal((f, d)), honest]))
+    rule, bound = PEAK_BOUNDS[kind]
+    rule(g, f)  # first call: any lazy set-up inside numpy
+    tracemalloc.start()
+    try:
+        rule(g, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * GATHER_BYTES < g.vectors.nbytes
 
 
 @settings(max_examples=100, deadline=None)
