@@ -81,7 +81,7 @@ def coordinate_median(g: GradientSet) -> np.ndarray:
     """
     mid = g.n_clients // 2
     if g.n_clients % 2:
-        return _over_sorted_columns(g, lambda ordered: ordered[mid].copy())
+        return _over_sorted_columns(g, lambda ordered: ordered[mid])
     return _over_sorted_columns(g, lambda ordered: (ordered[mid - 1] + ordered[mid]) / 2)
 
 
@@ -89,14 +89,12 @@ def _over_sorted_columns(g: GradientSet, reduce) -> np.ndarray:
     """``reduce(np.sort(g.vectors, axis=0))`` for a ``reduce`` that maps an
     (N, w) set of sorted columns to their w values.
 
-    A set wider than one tile (``column_tiles``) is sorted and reduced a
-    tile of columns at a time in one reused buffer. Each column sorts on
-    its own, and a reduction of a slice of two or more columns gives each
-    column the bits the whole set gives it.
+    The set is sorted and reduced a tile of columns (``column_tiles``) at a
+    time in one reused buffer. Each column sorts on its own, and a reduction
+    of a slice of two or more columns gives each column the bits the whole
+    set gives it.
     """
     tiles = column_tiles(g)
-    if len(tiles) == 1:
-        return reduce(np.sort(g.vectors, axis=0))
     out = np.empty(g.dim)
     buffer = np.empty((g.n_clients, tiles[0].stop))
     for cols in tiles:
@@ -155,12 +153,9 @@ def _residual_tiles(g: GradientSet, center: np.ndarray, tiles: list[slice]):
     """Yield ``(rows, g.vectors[rows] - center)`` over ``tiles``, the
     ``row_tiles(g)``.
 
-    A set of one tile yields its whole residual set; a larger one yields
-    each tile's residuals in one reused buffer, valid until the next tile.
+    Each tile's residuals are written into one reused buffer, valid until
+    the next tile.
     """
-    if len(tiles) == 1:
-        yield tiles[0], g.vectors - center
-        return
     buffer = np.empty((tiles[0].stop, g.dim))
     for rows in tiles:
         yield rows, np.subtract(g.vectors[rows], center, out=buffer[: rows.stop - rows.start])

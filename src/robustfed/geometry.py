@@ -29,8 +29,10 @@ import numpy as np
 # It also sizes the tiles in which the rules reduce a wide set (``row_tiles``,
 # ``column_tiles``), so that no rule builds a temporary as large as the set:
 # at N=100, d=10 000 one such copy is 7.6 MiB. An N=10 grid set is one tile of
-# rows (21) and of columns (4 369), and each rule runs its whole-set
-# expressions on it.
+# rows (21) and of columns (4 369): its one tile buffer is the size of the
+# copy the whole-set expressions made, and cclip and prodigy's weighted sum
+# run those expressions on it (``add_rows`` cannot sum a d = 1 set as numpy
+# does).
 #
 # It is also the size above which a set with d > 1 is wide (``wide_set``):
 # its neighborhood kernels mix in place and compute copy groups once. Below
