@@ -2,15 +2,17 @@
 """sha256 of every run's metrics.csv and trust_scores.jsonl on the hash gate,
 and of the wide-set kernels' outputs.
 
-Runs the 126 criterion-7 cells (``sweep.CRIT7_*``) and the determinism
-config of ``verification`` at seeds 7 and 8, through ``sweep.run_sweep``,
-and maps each cell to the hashes of its two artifacts. The grid's sets are
-N=10, so it also calls ``pairwise_sq_distances``, ``nnm_mix`` and the 7
-criterion-7 defenses, and the median, trimmed mean, geomed and cclip without
-mixing, directly on fixed N=100, d=10 000 sets, which take the wide path and
-reduce in tiles, and hashes the distances, the mixed set, each aggregate and
-prodigy's scores. It prints one JSON object. A change that must keep
-results bit for bit prints the same object as its parent:
+Runs the 126 criterion-7 cells (``sweep.CRIT7_*``), the determinism
+config of ``verification`` at seeds 7 and 8, and that config with momentum
+0.9 and 3 local steps under sign flip, label flip and ALIE at the same
+seeds, through ``sweep.run_sweep``, and maps each cell to the hashes of its
+two artifacts. The grid's sets are N=10, so it also calls
+``pairwise_sq_distances``, ``nnm_mix`` and the 7 criterion-7 defenses, and
+the median, trimmed mean, geomed and cclip without mixing, directly on fixed
+N=100, d=10 000 sets, which take the wide path and reduce in tiles, and
+hashes the distances, the mixed set, each aggregate and prodigy's scores.
+It prints one JSON object. A change that must keep results bit for bit
+prints the same object as its parent:
 
     python3 scripts/artifact_hashes.py --jobs 2 > change.json
     (same command in a checkout of the parent) > parent.json
@@ -39,15 +41,23 @@ ARTIFACTS = ("metrics.csv", "trust_scores.jsonl")
 # on the wide sets too.
 PLAIN_WIDE_KINDS = ("median", "trimmed_mean", "geomed", "cclip")
 DETERMINISM_SEEDS = [7, 8]
+# Neither the criterion-7 grid nor the determinism config keeps a momentum
+# buffer or takes more than one local step; this sweep runs both, under a
+# searched attack and under the two local ones, whose byzantine rows keep
+# momentum buffers too.
+MOMENTUM_SCHEDULE = {"momentum": 0.9, "local_iters": 3}
+MOMENTUM_ATTACKS = [{"kind": "sign_flip"}, {"kind": "label_flip"}, {"kind": "alie", "z": 1.0}]
 WIDE_N, WIDE_D, WIDE_F = 100, 10_000, 20
 
 
 def sweeps() -> dict[str, SweepSpec]:
     determinism = _determinism_config("")
     determinism.pop("output_path")
+    momentum = {**determinism, "schedule": {**determinism["schedule"], **MOMENTUM_SCHEDULE}}
     return {
         "crit7": crit7_sweep(CRIT7_SEEDS),
         "determinism": SweepSpec(base=determinism, seeds=DETERMINISM_SEEDS),
+        "momentum": SweepSpec(base=momentum, attacks=MOMENTUM_ATTACKS, seeds=DETERMINISM_SEEDS),
     }
 
 

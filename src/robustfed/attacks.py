@@ -48,9 +48,9 @@ class AttackSpec:
         return self.kind
 
 
-def honest_summary(honest: GradientSet) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted per-coordinate mean and population std of the honest updates."""
-    return honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
+def honest_summary(honest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unweighted per-coordinate mean and population std of the honest rows."""
+    return honest.mean(axis=0), honest.std(axis=0)
 
 
 # Smallest z the ALIE search takes. Its grid holds floor(8 / z) candidates
@@ -103,13 +103,13 @@ class _CandidateSets:
     path and can change the last bit. Hence the zero row ahead of h - v.
     """
 
-    def __init__(self, honest: GradientSet, f: int):
+    def __init__(self, honest: np.ndarray, f: int):
         self.honest = honest
         self.f = f
-        self.vectors = np.empty((f + honest.n_clients, honest.dim))
-        self.vectors[f:] = honest.vectors
+        self.vectors = np.empty((f + len(honest), honest.shape[1]))
+        self.vectors[f:] = honest
         self.honest_block = None
-        self.diff = np.zeros((honest.n_clients + 1, honest.dim))
+        self.diff = np.zeros((len(honest) + 1, honest.shape[1]))
 
     def __call__(self, byz_vector: np.ndarray) -> GradientSet:
         self.vectors[: self.f] = byz_vector
@@ -120,8 +120,8 @@ class _CandidateSets:
         if self.honest_block is None:
             n = len(self.vectors)
             self.honest_block = np.zeros((n, n))
-            self.honest_block[f:, f:] = pairwise_sq_distances(self.honest)
-        np.subtract(self.honest.vectors, byz_vector, out=self.diff[1:])
+            self.honest_block[f:, f:] = pairwise_sq_distances(GradientSet(self.honest))
+        np.subtract(self.honest, byz_vector, out=self.diff[1:])
         cross = np.einsum("ij,ij->i", self.diff, self.diff)[1:]
         entries = self.honest_block.copy()
         entries[:f, f:] = cross
@@ -132,7 +132,7 @@ class _CandidateSets:
 def _grid_search(
     candidates: list[float],
     make_vector: Callable[[float], np.ndarray],
-    honest: GradientSet,
+    honest: np.ndarray,
     f: int,
     defense: DefenseHandle,
     reference: np.ndarray,
@@ -166,16 +166,16 @@ def _grid_search(
 
 def craft_attack(
     spec: AttackSpec,
-    honest: GradientSet,
+    honest: np.ndarray,
     f: int,
     defense: DefenseHandle | None = None,
-    byz_local: GradientSet | None = None,
-) -> GradientSet:
-    """Produce the f byzantine clients' update vectors for one round.
+    byz_local: np.ndarray | None = None,
+) -> np.ndarray:
+    """Produce the (f, d) byzantine rows of one round from the honest rows.
 
     The defense sees each searched candidate as a round set: f copies of
     the candidate in rows 0..f-1, then the honest rows (see ``GradientSet``).
-    byz_local carries the byzantines' own locally computed updates: honest
+    byz_local holds the byzantines' own local updates, one row each: honest
     values for sign_flip (negated here), flipped-label values for label_flip
     (already poisoned upstream), and pass-through values for kind none.
     """
@@ -185,11 +185,9 @@ def craft_attack(
     if spec.kind in LOCAL_ATTACK_KINDS:
         if byz_local is None:
             raise ValueError(f"attack {spec.kind!r} requires the byzantines' local updates")
-        if byz_local.n_clients != f:
+        if len(byz_local) != f:
             raise ValueError("byz_local must hold exactly one update per byzantine client")
-        if spec.kind == "sign_flip":
-            return GradientSet(-byz_local.vectors)
-        return GradientSet(byz_local.vectors.copy())
+        return -byz_local if spec.kind == "sign_flip" else byz_local.copy()
 
     mean, std = honest_summary(honest)
     if spec.kind == "alie":
@@ -205,4 +203,4 @@ def craft_attack(
         vec = _grid_search(grid, make_vector, honest, f, defense, mean)
     else:
         vec = make_vector(grid[0])
-    return GradientSet(np.tile(vec, (f, 1)))
+    return np.tile(vec, (f, 1))

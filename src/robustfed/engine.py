@@ -23,18 +23,13 @@ from .models import ModelSpec, evaluate, init_params, model_gradient
 from .prodigy import DegenerateRoundError, TrustScores
 from .seeding import stream_id
 
-HONEST = "honest"
-BYZANTINE = "byzantine"
-
 
 @dataclass
 class ClientState:
-    """A client's shard, momentum buffer, role, and private RNG stream."""
+    """A client's shard and private RNG stream; client k is byzantine iff k < f."""
 
     client_id: int
     shard: LabeledDataset
-    momentum: np.ndarray
-    role: str
     rng_stream: int
 
 
@@ -142,12 +137,13 @@ def client_update(
     return grad if gamma is None else (theta - theta_local) / gamma
 
 
-def apply_momentum(client: ClientState, g: np.ndarray, beta: float) -> np.ndarray:
-    """Exponential moving average m = beta*m + (1-beta)*g; stored and returned."""
+def apply_momentum(momentum: np.ndarray, g: np.ndarray, beta: float) -> np.ndarray:
+    """Exponential moving average m = beta*m + (1-beta)*g, one client per row
+    of ``momentum``; updated in place and returned."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    client.momentum = beta * client.momentum + (1.0 - beta) * g
-    return client.momentum
+    momentum[:] = beta * momentum + (1.0 - beta) * g
+    return momentum
 
 
 def client_shards(cfg: ExperimentConfig) -> list[LabeledDataset]:
@@ -165,7 +161,7 @@ def client_shards(cfg: ExperimentConfig) -> list[LabeledDataset]:
 
 
 def build_clients(cfg: ExperimentConfig) -> tuple[list[ClientState], LabeledDataset]:
-    """Generate data, cut shards, and assign roles; returns clients + test set.
+    """Generate data and cut shards; returns clients + test set.
 
     Byzantine roles go to the lowest f client ids. Label-flip byzantines get
     their shard flipped here, once, so their local updates are poisoned at
@@ -176,22 +172,15 @@ def build_clients(cfg: ExperimentConfig) -> tuple[list[ClientState], LabeledData
     test = generate_blobs(
         data.n_classes, data.dim, data.test_per_class, data.separation, stream_id(cfg.seed, "test")
     )
-    dim = cfg.model.param_dim
-    clients = []
-    for k in range(cfg.n_clients):
-        role = BYZANTINE if k < cfg.n_byzantine else HONEST
-        shard = shards[k]
-        if role == BYZANTINE and cfg.attack.kind == "label_flip":
-            shard = flip_labels(shard)
-        clients.append(
-            ClientState(
-                client_id=k,
-                shard=shard,
-                momentum=np.zeros(dim),
-                role=role,
-                rng_stream=stream_id(cfg.seed, "client", k),
-            )
+    flip = cfg.attack.kind == "label_flip"
+    clients = [
+        ClientState(
+            client_id=k,
+            shard=flip_labels(shard) if flip and k < cfg.n_byzantine else shard,
+            rng_stream=stream_id(cfg.seed, "client", k),
         )
+        for k, shard in enumerate(shards)
+    ]
     return clients, test
 
 
@@ -206,28 +195,28 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     sched = cfg.schedule
     model = cfg.model
     clients, test = build_clients(cfg)
-    f = cfg.n_byzantine
-    byz_clients, honest_clients = clients[:f], clients[f:]  # the round layout
+    n, f = cfg.n_clients, cfg.n_byzantine
+    beta = sched.momentum
 
-    aggregator = Aggregator(cfg.defense, cfg.n_clients, cfg.n_byzantine)
+    aggregator = Aggregator(cfg.defense, n, f)
     state = AggregatorState()
     theta = init_params(model, stream_id(cfg.seed, "init"))
     local_attack = cfg.attack.kind in LOCAL_ATTACK_KINDS
     # honest clients first: their updates, and errors, come before the byzantines'
-    local_clients = honest_clients + (byz_clients if local_attack else [])
+    local_clients = clients[f:] + (clients[:f] if local_attack else [])
+    # row k is client k's buffer, in the round layout of ``sent``
+    momentum = np.zeros((n, model.param_dim))
 
     records: list[RoundRecord] = []
     for t in range(sched.rounds):
         gamma = lr_schedule(t, sched)
-        sent = np.empty((cfg.n_clients, model.param_dim))
+        sent = np.empty((n, model.param_dim))
 
         start = time.perf_counter()
         updates = client_update(model, theta, local_clients, sched, t)
-        sent[f:] = updates[: len(honest_clients)]
-        if sched.momentum > 0:
-            for client, row in zip(honest_clients, sent[f:]):
-                row[:] = apply_momentum(client, row, sched.momentum)
-        local = GradientSet(updates[len(honest_clients) :]) if f and local_attack else None
+        sent[f:] = updates[: n - f]
+        if beta > 0:
+            sent[f:] = apply_momentum(momentum[f:], sent[f:], beta)
         client_ms = (time.perf_counter() - start) * 1e3
 
         attack_ms = 0.0
@@ -235,11 +224,10 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
             start = time.perf_counter()
             check_finite(sent[f:], f)  # name the client, not its row in the honest set
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
-            crafted = craft_attack(cfg.attack, GradientSet(sent[f:]), f, defense, byz_local=local)
-            sent[:f] = crafted.vectors
-            if local_attack and sched.momentum > 0:  # omniscient attacks send theirs as-is
-                for client, row in zip(byz_clients, sent[:f]):
-                    row[:] = apply_momentum(client, row, sched.momentum)
+            # the byzantines' own updates; no rows under a searched attack
+            sent[:f] = craft_attack(cfg.attack, sent[f:], f, defense, byz_local=updates[n - f :])
+            if local_attack and beta > 0:  # omniscient attacks send theirs as-is
+                sent[:f] = apply_momentum(momentum[:f], sent[:f], beta)
             attack_ms = (time.perf_counter() - start) * 1e3
 
         mixed = GradientSet(sent)

@@ -320,19 +320,19 @@ def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
             state = AggregatorState()
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
             for _ in range(rounds_per_defense):
-                honest = GradientSet(rng.standard_normal((n - f, d)))
+                honest = rng.standard_normal((n - f, d))
                 crafted = craft_attack(attack, honest, f, defense)
                 mean, std = honest_summary(honest)
 
                 def deviation(vec):
-                    stacked = np.vstack([np.tile(vec, (f, 1)), honest.vectors])
+                    stacked = np.vstack([np.tile(vec, (f, 1)), honest])
                     try:
                         agg = defense(GradientSet(stacked))
                     except DegenerateRoundError:
                         return -np.inf
                     return float(np.linalg.norm(agg - mean))
 
-                chosen_dev = deviation(crafted.vectors[0])
+                chosen_dev = deviation(crafted[0])
                 if attack.kind == "alie":
                     grid_vecs = [mean - zv * std for zv in alie_candidates(attack.z)]
                 else:

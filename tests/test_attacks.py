@@ -28,13 +28,13 @@ def test_spec_validation():
 
 
 def test_honest_summary_examples():
-    mean, std = honest_summary(GradientSet(np.array([[1.0], [3.0]])))
+    mean, std = honest_summary(np.array([[1.0], [3.0]]))
     assert mean.tolist() == [2.0]
     assert std.tolist() == [1.0]
-    _, single_std = honest_summary(GradientSet(np.array([[4.0, -2.0]])))
+    _, single_std = honest_summary(np.array([[4.0, -2.0]]))
     assert single_std.tolist() == [0.0, 0.0]
     v = np.array([1.0, 2.0])
-    _, pair_std = honest_summary(GradientSet(np.stack([v, v])))
+    _, pair_std = honest_summary(np.stack([v, v]))
     assert pair_std.tolist() == [0.0, 0.0]
 
 
@@ -60,61 +60,61 @@ def _avg_defense(gs: GradientSet) -> np.ndarray:
 
 
 def test_sign_flip_negates_local():
-    local = GradientSet(np.array([[3.0]]))
-    honest = GradientSet(np.array([[1.0], [2.0]]))
+    local = np.array([[3.0]])
+    honest = np.array([[1.0], [2.0]])
     crafted = craft_attack(AttackSpec(kind="sign_flip"), honest, 1, _avg_defense, local)
-    assert crafted.vectors.tolist() == [[-3.0]]
+    assert crafted.tolist() == [[-3.0]]
 
 
 def test_label_flip_and_none_pass_through():
-    local = GradientSet(np.array([[3.0], [4.0]]))
-    honest = GradientSet(np.array([[1.0], [2.0], [5.0]]))
+    local = np.array([[3.0], [4.0]])
+    honest = np.array([[1.0], [2.0], [5.0]])
     for kind in ("label_flip", "none"):
         crafted = craft_attack(AttackSpec(kind=kind), honest, 2, _avg_defense, local)
-        assert np.array_equal(crafted.vectors, local.vectors)
+        assert np.array_equal(crafted, local)
 
 
 def test_local_attacks_require_byz_updates():
-    honest = GradientSet(np.array([[1.0], [2.0]]))
+    honest = np.array([[1.0], [2.0]])
     for kind in LOCAL_ATTACK_KINDS:
         with pytest.raises(ValueError):
             craft_attack(AttackSpec(kind=kind), honest, 1, _avg_defense)
 
 
 def test_foe_without_search_uses_eps_directly():
-    honest = GradientSet(np.array([[1.0], [3.0]]))
+    honest = np.array([[1.0], [3.0]])
     spec = AttackSpec(kind="foe", eps=0.1, search=False)
     crafted = craft_attack(spec, honest, 1, _avg_defense)
-    assert crafted.vectors.tolist() == [[-0.2]]
+    assert crafted.tolist() == [[-0.2]]
 
 
 def test_alie_grid_argmax_against_average():
     # honest scalars {1, 3}: mean 2, std 1; candidate aggregates are 2 - z*/3,
     # so the deviation |z*/3| peaks at the largest grid value z* = 2 and the
     # byzantine ends up sending mean - 2*std = 0
-    honest = GradientSet(np.array([[1.0], [3.0]]))
+    honest = np.array([[1.0], [3.0]])
     crafted = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
-    assert crafted.vectors.tolist() == [[0.0]]
+    assert crafted.tolist() == [[0.0]]
 
 
 def test_colluders_send_identical_vectors():
     rng = np.random.default_rng(5)
-    honest = GradientSet(rng.standard_normal((5, 3)))
+    honest = rng.standard_normal((5, 3))
     for spec in (AttackSpec(kind="alie", z=1.0), AttackSpec(kind="foe", eps=100.0)):
         crafted = craft_attack(spec, honest, 3, _avg_defense)
-        assert crafted.vectors.shape == (3, 3)
-        assert np.array_equal(crafted.vectors[0], crafted.vectors[1])
-        assert np.array_equal(crafted.vectors[0], crafted.vectors[2])
+        assert crafted.shape == (3, 3)
+        assert np.array_equal(crafted[0], crafted[1])
+        assert np.array_equal(crafted[0], crafted[2])
 
 
 def test_search_needs_defense_handle():
-    honest = GradientSet(np.array([[1.0], [3.0]]))
+    honest = np.array([[1.0], [3.0]])
     with pytest.raises(ValueError):
         craft_attack(AttackSpec(kind="alie", z=1.0), honest, 1, defense=None)
 
 
 def test_degenerate_defense_rounds_score_minus_inf():
-    honest = GradientSet(np.array([[1.0], [3.0]]))
+    honest = np.array([[1.0], [3.0]])
     calls = []
 
     def defense(gs: GradientSet) -> np.ndarray:
@@ -126,32 +126,32 @@ def test_degenerate_defense_rounds_score_minus_inf():
 
     crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     # only the non-degenerate grid point (the last, eps* = eps) can be chosen
-    assert crafted.vectors.tolist() == [[-0.2]]
+    assert crafted.tolist() == [[-0.2]]
 
 
 def test_all_degenerate_still_returns_a_vector():
-    honest = GradientSet(np.array([[1.0], [3.0]]))
+    honest = np.array([[1.0], [3.0]])
 
     def defense(gs: GradientSet) -> np.ndarray:
         raise DegenerateRoundError(None)
 
     crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
-    assert crafted.vectors.shape == (1, 1)
+    assert crafted.shape == (1, 1)
     # falls back to the first grid point
-    assert crafted.vectors[0, 0] == pytest.approx(-0.02, abs=1e-15)
+    assert crafted[0, 0] == pytest.approx(-0.02, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["alie", "foe"]))
 def test_search_optimality_exhaustive(seed, kind):
     rng = np.random.default_rng(seed)
-    honest = GradientSet(rng.standard_normal((6, 3)))
+    honest = rng.standard_normal((6, 3))
     spec = AttackSpec(kind=kind, z=1.0, eps=0.5)
     crafted = craft_attack(spec, honest, 2, _avg_defense)
     mean, std = honest_summary(honest)
 
     def deviation(vec):
-        stacked = np.vstack([np.tile(vec, (2, 1)), honest.vectors])
+        stacked = np.vstack([np.tile(vec, (2, 1)), honest])
         return float(np.linalg.norm(_avg_defense(GradientSet(stacked)) - mean))
 
     grid = (
@@ -159,14 +159,14 @@ def test_search_optimality_exhaustive(seed, kind):
         if kind == "alie"
         else [-ev * mean for ev in foe_candidates(0.5)]
     )
-    chosen = deviation(crafted.vectors[0])
+    chosen = deviation(crafted[0])
     assert all(chosen >= deviation(v) for v in grid)
 
 
 def test_non_finite_candidates_score_minus_inf():
     # FoE at eps=100 against an honest mean of 1e307: only the first grid
     # point, -1e308, is finite; the others overflow and must not abort
-    honest = GradientSet(np.array([[1e307], [1e307]]))
+    honest = np.array([[1e307], [1e307]])
     calls = []
 
     def defense(gs: GradientSet) -> np.ndarray:
@@ -175,14 +175,14 @@ def test_non_finite_candidates_score_minus_inf():
 
     with np.errstate(over="ignore"):
         crafted = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
-    assert crafted.vectors.tolist() == [[-1e308]]
+    assert crafted.tolist() == [[-1e308]]
     assert len(calls) == 1
 
 
 def test_non_finite_choice_raises_the_mixed_set_error():
     # every FoE grid point overflows, so the chosen first point is non-finite;
     # the error names the first byzantine row, as the mixed set's check does
-    honest = GradientSet(np.array([[1.7e308]]))
+    honest = np.array([[1.7e308]])
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match="non-finite update component from client 0"
     ):

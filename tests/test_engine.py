@@ -46,13 +46,7 @@ def make_client(rng, n_samples=40, dim=6, n_classes=4, client_id=0):
         rng.standard_normal((n_samples, dim)), rng.integers(0, n_classes, n_samples), n_classes
     )
     spec = ModelSpec("softmax_linear", input_dim=dim, n_classes=n_classes)
-    return spec, ClientState(
-        client_id=client_id,
-        shard=shard,
-        momentum=np.zeros(spec.param_dim),
-        role="honest",
-        rng_stream=stream_id(99, "client", client_id),
-    )
+    return spec, ClientState(client_id, shard, stream_id(99, "client", client_id))
 
 
 def test_lr_schedule_paper_values():
@@ -67,26 +61,41 @@ def test_lr_schedule_paper_values():
 
 def test_momentum_first_step_and_identity():
     rng = np.random.default_rng(0)
-    _, client = make_client(rng)
-    g = np.ones(client.momentum.shape[0])
-    out = apply_momentum(client, g, beta=0.9)
+    momentum = np.zeros((3, 7))
+    g = np.ones((3, 7))
+    out = apply_momentum(momentum, g, beta=0.9)
     assert np.allclose(out, 0.1 * g)
-    assert np.allclose(client.momentum, 0.1 * g)
+    assert np.allclose(momentum, 0.1 * g)
 
-    _, fresh = make_client(rng)
-    g2 = rng.standard_normal(fresh.momentum.shape[0])
+    fresh = np.zeros((2, 7))
+    g2 = rng.standard_normal((2, 7))
     assert np.array_equal(apply_momentum(fresh, g2, beta=0.0), g2)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        apply_momentum(fresh, g2, beta=1.5)
 
 
 def test_momentum_geometric_convergence():
     rng = np.random.default_rng(1)
-    _, client = make_client(rng)
-    g = rng.standard_normal(client.momentum.shape[0])
+    momentum = np.zeros((3, 7))
+    g = rng.standard_normal((3, 7))
     beta = 0.9
     for t in range(25):
-        m = apply_momentum(client, g, beta)
+        m = apply_momentum(momentum, g, beta)
         expected_gap = beta ** (t + 1)
         assert np.allclose(m - g, -expected_gap * g, rtol=1e-9)
+
+
+def test_momentum_rows_are_independent_buffers():
+    """A block update equals each row's update alone, bit for bit, and
+    touches only the rows it is given."""
+    rng = np.random.default_rng(2)
+    momentum = rng.standard_normal((5, 7))
+    g = rng.standard_normal((3, 7))
+    expected = [0.9 * momentum[k] + (1.0 - 0.9) * g[k - 2] for k in range(2, 5)]
+    untouched = momentum[:2].copy()
+    apply_momentum(momentum[2:], g, 0.9)
+    assert np.array_equal(momentum[2:], np.stack(expected))
+    assert np.array_equal(momentum[:2], untouched)
 
 
 def test_client_update_single_step_is_batch_gradient():
@@ -148,15 +157,19 @@ def test_client_update_rejects_small_shard():
 
 
 def test_byzantine_roles_and_label_flip_shards():
+    """Label flip poisons exactly shards 0..f-1; ids, features and streams
+    are those of the unflipped run."""
     cfg = small_config(n_byzantine=2, attack={"kind": "label_flip"}, defense={"kind": "prodigy"})
     clients, _ = build_clients(cfg)
-    assert [c.role for c in clients[:2]] == ["byzantine", "byzantine"]
-    assert all(c.role == "honest" for c in clients[2:])
-    flipped_cfg = small_config(n_byzantine=2, attack={"kind": "none"}, defense={"kind": "prodigy"})
-    plain_clients, _ = build_clients(flipped_cfg)
-    for byz, plain in zip(clients[:2], plain_clients[:2]):
-        assert np.array_equal(byz.shard.labels, plain.shard.n_classes - 1 - plain.shard.labels)
-        assert np.array_equal(byz.shard.features, plain.shard.features)
+    plain_cfg = small_config(n_byzantine=2, attack={"kind": "none"}, defense={"kind": "prodigy"})
+    plain_clients, _ = build_clients(plain_cfg)
+    assert [c.client_id for c in clients] == list(range(cfg.n_clients))
+    for k, (client, plain) in enumerate(zip(clients, plain_clients)):
+        labels = plain.shard.labels
+        expected = plain.shard.n_classes - 1 - labels if k < 2 else labels
+        assert np.array_equal(client.shard.labels, expected)
+        assert np.array_equal(client.shard.features, plain.shard.features)
+        assert client.rng_stream == plain.rng_stream
 
 
 def test_zero_rounds_returns_initial_model():
@@ -214,7 +227,7 @@ def test_mean_preserving_injection_trajectory():
     cfg = small_config(n_byzantine=2, attack={"kind": "sign_flip"})
 
     def send_honest_mean(spec, honest, f, defense=None, byz_local=None):
-        return GradientSet(np.tile(honest.vectors.mean(axis=0), (f, 1)))
+        return np.tile(honest.mean(axis=0), (f, 1))
 
     original = engine_mod.craft_attack
     engine_mod.craft_attack = send_honest_mean
@@ -321,6 +334,27 @@ def test_non_finite_honest_update_names_its_client(monkeypatch, f, attack):
     monkeypatch.setattr(engine_mod, "client_update", nan_for_client_5)
     with pytest.raises(ValueError, match="non-finite update component from client 5$"):
         run_training(cfg)
+
+
+def test_one_gradient_set_per_round_outside_the_search(monkeypatch):
+    """Under a local attack the engine hands the attacker plain arrays and
+    builds one set per round, the aggregator's input."""
+    cfg = small_config(
+        n_byzantine=2,
+        attack={"kind": "sign_flip"},
+        defense={"kind": "prodigy"},
+        schedule={"rounds": 5, "batch_size": 8, "momentum": 0.9},
+    )
+    built = []
+    original = GradientSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradientSet, "__init__", counting_init)
+    run_training(cfg)
+    assert len(built) == cfg.schedule.rounds
 
 
 def test_run_training_determinism():

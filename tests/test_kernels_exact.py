@@ -49,10 +49,7 @@ from robustfed.attacks import (
 from robustfed.config import TrainSchedule, config_from_dict, validate_config
 from robustfed.datasim import LabeledDataset
 from robustfed.engine import (
-    BYZANTINE,
-    HONEST,
     ClientState,
-    apply_momentum,
     build_clients,
     client_update,
     lr_schedule,
@@ -669,8 +666,8 @@ def test_batched_stats_equal_separate_calls(b, m, d, seed):
 # --- attack search: shared candidate sets against fresh mixed sets ----------
 
 
-def loop_mixed_set(honest: GradientSet, f, byz_vector) -> GradientSet:
-    return GradientSet(np.vstack([np.tile(byz_vector, (f, 1)), honest.vectors]))
+def loop_mixed_set(honest: np.ndarray, f, byz_vector) -> GradientSet:
+    return GradientSet(np.vstack([np.tile(byz_vector, (f, 1)), honest]))
 
 
 def loop_grid_search(candidates, make_vector, honest, f, defense, reference):
@@ -698,28 +695,28 @@ SEARCH_DEFENSES = [
 ]
 
 
-def search_candidates(honest: GradientSet) -> np.ndarray:
+def search_candidates(honest: np.ndarray) -> np.ndarray:
     """The ALIE (z=1) and FoE (eps=0.1) grids plus a copy of an honest row."""
-    mean, std = honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
+    mean, std = honest.mean(axis=0), honest.std(axis=0)
     alie = [mean - zv * std for zv in alie_candidates(1.0)]
     foe = [-ev * mean for ev in foe_candidates(0.1)]
-    return np.array(alie + foe + [honest.vectors[0]])
+    return np.array(alie + foe + [honest[0]])
 
 
-def assert_search_exact(honest: GradientSet, f: int, candidates=None) -> dict:
+def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
     """The same sets and distances per candidate, and the same choice and
     deviation per candidate for every defense defined at this N and f;
     returns each defense's deviations."""
     if candidates is None:
         candidates = search_candidates(honest)
-    n = honest.n_clients + f
+    n = len(honest) + f
     sets = _CandidateSets(honest, f)
     for vec in candidates:
         g = sets(vec)
         fresh = loop_mixed_set(honest, f, vec)
         assert np.array_equal(g.vectors, fresh.vectors)
         assert np.array_equal(g.distances(), pairwise_sq_distances(fresh))
-    reference = honest.vectors.mean(axis=0)
+    reference = honest.mean(axis=0)
     state = AggregatorState(0.5 * reference)
     found = {}
     for spec in SEARCH_DEFENSES:
@@ -753,7 +750,7 @@ def assert_search_exact(honest: GradientSet, f: int, candidates=None) -> dict:
 @given(sets_with_duplicates(max_n=9, max_d=12), st.integers(1, 4))
 def test_search_matches_fresh_sets_on_tied_rows(vectors, f):
     """Honest rows with ties, under 1 to 4 byzantine rows."""
-    assert_search_exact(GradientSet(vectors), f)
+    assert_search_exact(vectors, f)
 
 
 @pytest.mark.parametrize("d", [1, 17, 300, 1994])
@@ -765,7 +762,7 @@ def test_search_matches_fresh_sets_on_tied_rows(vectors, f):
 def test_search_matches_fresh_sets_at_boundaries(n, f, d):
     """f = 1, N = 2f+1, N - f = 1 (one honest row) and the criterion-7 shape."""
     rng = np.random.default_rng(n * 10_000 + f * 1000 + d)
-    assert_search_exact(GradientSet(rng.standard_normal((n - f, d))), f)
+    assert_search_exact(rng.standard_normal((n - f, d)), f)
 
 
 @pytest.mark.parametrize("n, f", [(2, 1), (4, 3)])
@@ -773,14 +770,14 @@ def test_search_matches_fresh_sets_with_one_honest_row_at_wide_d(n, f):
     """At d=10 000 a one-row einsum sums in another order than a row of a
     larger one, so the one honest distance row must not be reduced alone."""
     rng = np.random.default_rng(n)
-    honest = GradientSet(rng.standard_normal((1, 10_000)))
+    honest = rng.standard_normal((1, 10_000))
     assert_search_exact(honest, f, rng.standard_normal((3, 10_000)))
 
 
 def test_search_matches_fresh_sets_on_duplicated_honest_rows():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((3, 40))
-    honest = GradientSet(rows[[0, 1, 0, 2, 1, 0, 2]])
+    honest = rows[[0, 1, 0, 2, 1, 0, 2]]
     candidates = np.vstack([search_candidates(honest), rows])
     assert_search_exact(honest, 3, candidates)
 
@@ -789,7 +786,7 @@ def test_search_matches_fresh_sets_on_degenerate_prodigy_rounds():
     """Identical integer honest rows: their mean is exact and their std zero,
     so the ALIE candidates and the honest copy equal them, every score ties
     and prodigy filters everyone; the FoE candidates do not."""
-    honest = GradientSet(np.tile(np.arange(25.0) - 12.0, (7, 1)))
+    honest = np.tile(np.arange(25.0) - 12.0, (7, 1))
     found = assert_search_exact(honest, 3)
     assert np.isneginf(found["prodigy"]).sum() == len(alie_candidates(1.0)) + 1
     assert np.isfinite(found["prodigy"]).any()
@@ -799,9 +796,9 @@ def test_search_matches_fresh_sets_at_wide_scale():
     """N=100, d=10 000, f=20."""
     n, d, f = 100, 10_000, 20
     rng = np.random.default_rng(11)
-    honest = GradientSet(rng.standard_normal((n - f, d)))
-    mean, std = honest.vectors.mean(axis=0), honest.vectors.std(axis=0)
-    assert_search_exact(honest, f, np.array([mean - std, honest.vectors[0]]))
+    honest = rng.standard_normal((n - f, d))
+    mean, std = honest.mean(axis=0), honest.std(axis=0)
+    assert_search_exact(honest, f, np.array([mean - std, honest[0]]))
 
 
 # --- client updates: one batched pass against the per-client loop ------------
@@ -869,12 +866,20 @@ def loop_client_update(spec, theta, client, sched, round_idx):
 
 
 def loop_run_training(cfg):
-    """The round loop as it was: one client_update call per client."""
+    """The round loop as it was: one client_update call and one momentum
+    buffer per client, each client's role read from its id."""
     validate_config(cfg)
     sched, model = cfg.schedule, cfg.model
     clients, test = build_clients(cfg)
-    honest_clients = [c for c in clients if c.role == HONEST]
-    byz_clients = [c for c in clients if c.role == BYZANTINE]
+    honest_clients = [c for c in clients if c.client_id >= cfg.n_byzantine]
+    byz_clients = [c for c in clients if c.client_id < cfg.n_byzantine]
+    momentum = {c.client_id: np.zeros(model.param_dim) for c in clients}
+
+    def ema(client, g):
+        beta = sched.momentum
+        momentum[client.client_id] = beta * momentum[client.client_id] + (1.0 - beta) * g
+        return momentum[client.client_id]
+
     aggregator = Aggregator(cfg.defense, cfg.n_clients, cfg.n_byzantine)
     state = AggregatorState()
     theta = init_params(model, stream_id(cfg.seed, "init"))
@@ -885,22 +890,22 @@ def loop_run_training(cfg):
         for client in honest_clients:
             g = loop_client_update(model, theta, client, sched, t)
             if sched.momentum > 0:
-                g = apply_momentum(client, g, sched.momentum)
+                g = ema(client, g)
             sent[client.client_id] = g
         if byz_clients:
             local = None
             if local_attack:
-                local = GradientSet(
-                    np.stack([loop_client_update(model, theta, c, sched, t) for c in byz_clients])
+                local = np.stack(
+                    [loop_client_update(model, theta, c, sched, t) for c in byz_clients]
                 )
-            honest_set = GradientSet(np.stack([sent[c.client_id] for c in honest_clients]))
+            honest_rows = np.stack([sent[c.client_id] for c in honest_clients])
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
             f = len(byz_clients)
-            crafted = craft_attack(cfg.attack, honest_set, f, defense, byz_local=local)
+            crafted = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
             for i, client in enumerate(byz_clients):
-                v = crafted.vectors[i]
+                v = crafted[i]
                 if local_attack and sched.momentum > 0:
-                    v = apply_momentum(client, v, sched.momentum)
+                    v = ema(client, v)
                 sent[client.client_id] = v
         try:
             result = aggregator(GradientSet(sent), state)
@@ -1021,7 +1026,7 @@ def error_clients(kinds):
         if kind == "early":
             features = np.full((n, 2), 1e308)
         shard = LabeledDataset(features, rng.integers(0, 2, n), 2)
-        clients.append(ClientState(k, shard, np.zeros(6), HONEST, stream_id(1, "client", k)))
+        clients.append(ClientState(k, shard, stream_id(1, "client", k)))
     return clients
 
 
