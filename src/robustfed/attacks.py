@@ -35,8 +35,10 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
-        if self.kind == "alie" and self.z <= 0:
-            raise ValueError("alie requires z > 0")
+        if self.kind == "alie":
+            if self.z <= 0:
+                raise ValueError("alie requires z > 0")
+            check_alie_search(self.z, self.search)
         if self.kind == "foe" and self.eps <= 0:
             raise ValueError("foe requires eps > 0")
 
@@ -58,6 +60,15 @@ def honest_summary(honest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ten times the z = 1 grid) bounds a searched round's cost; z = 1e-6 would
 # list 8 000 000 candidates.
 ALIE_MIN_Z = 0.1
+
+
+def check_alie_search(z: float, search: bool) -> None:
+    """A searched ALIE needs z >= ALIE_MIN_Z; without the search one point is
+    used, whatever z. The error's ``key`` names the offending field."""
+    if search and not z >= ALIE_MIN_Z:
+        err = ValueError(f"the alie search needs z >= {ALIE_MIN_Z:g}, got {z:g}")
+        err.key = "z"
+        raise err
 
 
 def alie_candidates(z: float) -> list[float]:

@@ -20,7 +20,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .aggregators import Aggregator, AggregatorSpec
-from .attacks import ALIE_MIN_Z, AttackSpec
+from .attacks import AttackSpec, check_alie_search
 from .models import ModelSpec
 from .prodigy import check_honest_majority
 
@@ -115,10 +115,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"n_byzantine: {err}") from None
     if cfg.attack.kind != "none" and cfg.n_byzantine < 1:
         raise ConfigError(f"attack.kind: {cfg.attack.kind!r} configured but n_byzantine=0")
-    if cfg.attack.kind == "alie" and cfg.attack.search and cfg.attack.z < ALIE_MIN_Z:
-        raise ConfigError(
-            f"attack.z: the alie search needs z >= {ALIE_MIN_Z:g}, got {cfg.attack.z:g}"
-        )
+    if cfg.attack.kind == "alie":
+        try:
+            check_alie_search(cfg.attack.z, cfg.attack.search)
+        except ValueError as err:
+            raise ConfigError(f"attack.z: {err}") from None
     if cfg.eval_every < 1:
         raise ConfigError("eval_every: must be at least 1")
 
@@ -216,7 +217,7 @@ def _parse(cls, mapping, path: str, given: dict | None = None):
 
     An omitted key, or a null section, keeps the field's default; ``given``
     holds defaults the class itself cannot know. Constructor errors are
-    reported under ``path``.
+    reported under ``path``, or under the key named by the error's ``key``.
     """
     schema = _schema(cls)
     check_keys(mapping, path, [key for key, *_ in schema])
@@ -236,7 +237,8 @@ def _parse(cls, mapping, path: str, given: dict | None = None):
     try:
         return cls(**kwargs)
     except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
+        at = f"{path}.{err.key}" if hasattr(err, "key") else path
+        raise ConfigError(f"{at}: {err}") from None
 
 
 def config_from_dict(document: dict, path: str = "") -> ExperimentConfig:

@@ -3,7 +3,11 @@ robust aggregation, and the two-step learning-rate schedule.
 
 Every client draws its batches from a counter-based RNG stream keyed by
 (master seed, client id, round), so results are identical no matter how the
-per-client work is scheduled.
+per-client work is scheduled. ``run_training`` computes the seeds of all
+those streams once per run, a block of rounds at a time
+(``seeding.stream_generators``), and concatenates the local clients' shards
+once (``LocalClients``), so each local iteration gathers every client's batch
+in one indexing operation.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .datasim import LabeledDataset, PartitionSpec, flip_labels, generate_blobs,
 from .geometry import GradientSet, check_finite
 from .models import ModelSpec, evaluate, init_params, model_gradient
 from .prodigy import DegenerateRoundError, TrustScores
-from .seeding import stream_id
+from .seeding import stream_generators, stream_id
 
 
 @dataclass
@@ -69,16 +73,45 @@ def lr_schedule(round_idx: int, sched: TrainSchedule) -> float:
     return sched.gamma_hi if round_idx <= sched.switch_frac * sched.rounds else sched.gamma_lo
 
 
+@dataclass(frozen=True)
+class LocalClients:
+    """The clients that train locally, in update order, with their shards
+    concatenated once per run: client k holds rows offsets[k] .. offsets[k] +
+    sizes[k] - 1, so a local iteration's batches are one gather."""
+
+    client_ids: tuple[int, ...]
+    features: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    streams: np.ndarray  # uint64 stream ids
+
+    @classmethod
+    def of(cls, clients: Sequence[ClientState]) -> LocalClients:
+        sizes = np.array([c.shard.n_samples for c in clients], dtype=np.intp)
+        return cls(
+            client_ids=tuple(c.client_id for c in clients),
+            features=np.concatenate([c.shard.features for c in clients]),
+            labels=np.concatenate([c.shard.labels for c in clients]),
+            offsets=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+            streams=np.array([c.rng_stream for c in clients], dtype=np.uint64),
+        )
+
+
 def client_update(
     spec: ModelSpec,
     theta: np.ndarray,
-    clients: Sequence[ClientState],
+    clients: LocalClients | Sequence[ClientState],
     sched: TrainSchedule,
     round_idx: int,
+    rngs: Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Run the local iterations of each client; return the (len, P)
     rate-normalized displacements, one row per client in order.
 
+    ``rngs`` holds each client's generator for this round; by default they
+    are built from the clients' streams (``seeding.stream_generators``).
     Batches are disjoint draws without replacement from each shard, reshuffled
     when exhausted. One local iteration returns the mini-batch gradient itself
     (the normalized one-step displacement telescopes to exactly that). The
@@ -88,36 +121,38 @@ def client_update(
     The error raised is that of the first failing client in order: a shard
     that cannot fill a batch, or non-finite logits at any local iteration.
     """
-    clients = list(clients)
+    if not isinstance(clients, LocalClients):
+        clients = LocalClients.of(clients)
+    if rngs is None:
+        rngs = next(stream_generators(clients.streams, range(round_idx, round_idx + 1)))
     b = sched.batch_size
+    n = len(clients.sizes)
     error = None
-    for k, client in enumerate(clients):
-        if b > client.shard.n_samples:
-            error = ValueError(
-                f"client {client.client_id} shard of {client.shard.n_samples} samples "
-                f"cannot fill a batch of {b}"
-            )
-            clients = clients[:k]
-            break
-    if error is not None and not clients:
-        raise error
+    short = np.flatnonzero(clients.sizes < b)
+    if short.size:
+        n = int(short[0])
+        error = ValueError(
+            f"client {clients.client_ids[n]} shard of {clients.sizes[n]} samples "
+            f"cannot fill a batch of {b}"
+        )
+        if not n:
+            raise error
 
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence([c.rng_stream, round_idx])) for c in clients
-    ]
-    perms = [rng.permutation(c.shard.n_samples) for rng, c in zip(rngs, clients)]
-    starts = [0] * len(clients)
+    offsets, sizes = clients.offsets[:n], clients.sizes[:n]
+    # client k's current permutation of its own rows, in its block of rows
+    order = np.empty(len(clients.labels), dtype=np.intp)
+    starts = sizes.copy()  # exhausted: the first iteration draws every permutation
+    within = np.arange(b)
     gamma = lr_schedule(round_idx, sched) if sched.local_iters > 1 else None
     theta_local = theta
     for _ in range(sched.local_iters):
-        for k, client in enumerate(clients):
-            if starts[k] + b > client.shard.n_samples:
-                perms[k] = rngs[k].permutation(client.shard.n_samples)
-                starts[k] = 0
-        idx = [perm[s : s + b] for perm, s in zip(perms, starts)]
-        x = np.stack([c.shard.features[i] for c, i in zip(clients, idx)])
-        y = np.stack([c.shard.labels[i] for c, i in zip(clients, idx)])
-        starts = [s + b for s in starts]
+        for k in np.flatnonzero(starts + b > sizes):
+            o, m = offsets[k], sizes[k]
+            np.add(rngs[k].permutation(m), o, out=order[o : o + m])
+            starts[k] = 0
+        rows = order[(offsets + starts)[:, None] + within]
+        x, y = clients.features[rows], clients.labels[rows]
+        starts += b
         try:
             grad = model_gradient(spec, theta_local, (x, y))
         except ValueError as err:
@@ -127,7 +162,7 @@ def client_update(
             if not n:
                 raise
             error = err
-            clients, rngs, perms, starts = clients[:n], rngs[:n], perms[:n], starts[:n]
+            offsets, sizes, starts = offsets[:n], sizes[:n], starts[:n]
             theta_local = theta_local if theta_local.ndim == 1 else theta_local[:n]
             grad = model_gradient(spec, theta_local, (x[:n], y[:n]))
         if gamma is not None:
@@ -203,7 +238,8 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     theta = init_params(model, stream_id(cfg.seed, "init"))
     local_attack = cfg.attack.kind in LOCAL_ATTACK_KINDS
     # honest clients first: their updates, and errors, come before the byzantines'
-    local_clients = clients[f:] + (clients[:f] if local_attack else [])
+    local_clients = LocalClients.of(clients[f:] + (clients[:f] if local_attack else []))
+    round_rngs = stream_generators(local_clients.streams, range(sched.rounds))
     # row k is client k's buffer, in the round layout of ``sent``
     momentum = np.zeros((n, model.param_dim))
 
@@ -213,7 +249,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         sent = np.empty((n, model.param_dim))
 
         start = time.perf_counter()
-        updates = client_update(model, theta, local_clients, sched, t)
+        updates = client_update(model, theta, local_clients, sched, t, next(round_rngs))
         sent[f:] = updates[: n - f]
         if beta > 0:
             sent[f:] = apply_momentum(momentum[f:], sent[f:], beta)

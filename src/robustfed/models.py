@@ -69,8 +69,9 @@ def _unpack_linear(spec: ModelSpec, theta: np.ndarray):
 def _unpack_mlp(spec: ModelSpec, theta: np.ndarray):
     p, c, h = spec.input_dim, spec.n_classes, spec.hidden
     lead = theta.shape[:-1]
-    parts = np.split(theta, np.cumsum([h * p, h, c * h]), axis=-1)
-    return parts[0].reshape(lead + (h, p)), parts[1], parts[2].reshape(lead + (c, h)), parts[3]
+    i, j, k = h * p, h * p + h, h * p + h + c * h
+    w1, b1, w2, b2 = theta[..., :i], theta[..., i:j], theta[..., j:k], theta[..., k:]
+    return w1.reshape(lead + (h, p)), b1, w2.reshape(lead + (c, h)), b2
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -161,28 +162,29 @@ def model_gradient(spec: ModelSpec, theta: np.ndarray, batch) -> np.ndarray:
             dlogits.sum(axis=1),
         ]
     grad = np.concatenate([part.reshape(n, -1) for part in parts], axis=1)
-    grad = grad + spec.l2_reg * theta
+    grad += spec.l2_reg * theta
     return grad[0] if single else grad
+
+
+def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite logits while computing loss")
+    logp = _log_softmax(logits)
+    return float(-logp[np.arange(len(labels)), labels].mean())
 
 
 def model_loss(spec: ModelSpec, theta: np.ndarray, data: LabeledDataset) -> float:
     """Mean cross-entropy, without the l2 penalty."""
     logits, _ = _forward(spec, theta, data.features)
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits while computing loss")
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(data.n_samples), data.labels].mean())
-
-
-def predict(spec: ModelSpec, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Argmax class per sample; ties resolve to the lowest class index."""
-    logits, _ = _forward(spec, np.asarray(theta, dtype=np.float64), features)
-    return logits.argmax(axis=1)
+    return _mean_cross_entropy(logits, data.labels)
 
 
 def evaluate(spec: ModelSpec, theta: np.ndarray, test: LabeledDataset) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy loss) on a held-out set."""
+    """(accuracy, mean cross-entropy loss) on a held-out set, from one forward
+    pass. The predicted class is the argmax of the logits; ties resolve to the
+    lowest class index."""
     if test.n_samples < 1:
         raise ValueError("test set must be nonempty")
-    accuracy = float((predict(spec, theta, test.features) == test.labels).mean())
-    return accuracy, model_loss(spec, theta, test)
+    logits, _ = _forward(spec, np.asarray(theta, dtype=np.float64), test.features)
+    loss = _mean_cross_entropy(logits, test.labels)
+    return float((logits.argmax(axis=1) == test.labels).mean()), loss

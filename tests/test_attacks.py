@@ -22,6 +22,10 @@ def test_spec_validation():
         AttackSpec(kind="mystery")
     with pytest.raises(ValueError):
         AttackSpec(kind="alie", z=0.0)
+    # each searched grid point runs the whole defense; refused in code as in configs
+    with pytest.raises(ValueError, match="the alie search needs z >= 0.1, got 0.05"):
+        AttackSpec(kind="alie", z=0.05)
+    assert AttackSpec(kind="alie", z=0.05, search=False).z == 0.05
     with pytest.raises(ValueError):
         AttackSpec(kind="foe", eps=-1.0)
     assert AttackSpec(kind="foe", eps=100.0).label() == "foe(eps=100)"

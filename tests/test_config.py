@@ -6,6 +6,7 @@ from robustfed.config import (
     config_from_dict,
     config_to_dict,
     parse_config,
+    validate_config,
 )
 
 
@@ -72,11 +73,16 @@ def test_searched_alie_z_below_its_bound_rejected_with_path():
     holds floor(8 / z) of them, so a searched z below ALIE_MIN_Z is refused;
     without the search one point is used, whatever z."""
     doc = '{{"n_clients": 10, "n_byzantine": 3, "attack": {{"kind": "alie", "z": {z}{search}}}}}'
-    for z in ("1e-6", "1e-12", "0.09"):
-        with pytest.raises(ConfigError, match="attack.z: the alie search needs z >= 0.1"):
+    for z in ("1e-6", "1e-12", "0.05", "0.09"):
+        with pytest.raises(ConfigError, match="^attack.z: the alie search needs z >= 0.1"):
             parse_config(doc.format(z=z, search=""))
         assert parse_config(doc.format(z=z, search=', "search": false')).attack.z == float(z)
     assert parse_config(doc.format(z=ALIE_MIN_Z, search="")).attack.z == ALIE_MIN_Z
+    # validate_config applies the same check to a config built in code
+    cfg = parse_config(doc.format(z=1, search=""))
+    object.__setattr__(cfg.attack, "z", 0.05)
+    with pytest.raises(ConfigError, match="^attack.z: the alie search needs z >= 0.1, got 0.05"):
+        validate_config(cfg)
 
 
 def test_model_data_dimension_mismatch_rejected():

@@ -326,14 +326,34 @@ def test_non_finite_honest_update_names_its_client(monkeypatch, f, attack):
     cfg = small_config(n_byzantine=f, attack={"kind": attack})
     original = engine_mod.client_update
 
-    def nan_for_client_5(spec, theta, clients, sched, round_idx):
-        updates = original(spec, theta, clients, sched, round_idx)
-        updates[[c.client_id for c in clients].index(5)] = np.nan
+    def nan_for_client_5(spec, theta, clients, sched, round_idx, rngs):
+        updates = original(spec, theta, clients, sched, round_idx, rngs)
+        updates[clients.client_ids.index(5)] = np.nan
         return updates
 
     monkeypatch.setattr(engine_mod, "client_update", nan_for_client_5)
     with pytest.raises(ValueError, match="non-finite update component from client 5$"):
         run_training(cfg)
+
+
+def test_round_loop_builds_no_seed_sequence(monkeypatch):
+    """The client streams of every round are seeded once per run, so the
+    SeedSequences a run builds (data, partition, init) do not grow with its
+    rounds."""
+    built = []
+    original = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    counts = []
+    for rounds in (2, 12):
+        built.clear()
+        run_training(small_config(schedule={"rounds": rounds, "batch_size": 8, "local_iters": 2}))
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_one_gradient_set_per_round_outside_the_search(monkeypatch):

@@ -4,11 +4,11 @@ import pytest
 from robustfed.datasim import LabeledDataset
 from robustfed.models import (
     ModelSpec,
+    _forward,
     evaluate,
     init_params,
     model_gradient,
     model_loss,
-    predict,
 )
 from robustfed.oracles import ref_fd_gradient
 
@@ -91,7 +91,23 @@ def test_zero_theta_uniform_accuracy_and_tie_rule():
     # uniform logits tie everywhere; argmax picks class 0, which holds 1/5 of labels
     assert accuracy == pytest.approx(0.2)
     assert loss == pytest.approx(np.log(5))
-    assert np.all(predict(spec, np.zeros(spec.param_dim), test.features) == 0)
+    only_class_0 = LabeledDataset(test.features, np.zeros(100, dtype=int), 5)
+    assert evaluate(spec, np.zeros(spec.param_dim), only_class_0)[0] == 1.0
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=lambda s: s.kind)
+def test_one_pass_evaluate_equals_argmax_and_loss_passes(spec):
+    """evaluate derives both numbers from one forward pass; they equal, bit
+    for bit, an argmax pass plus model_loss's own pass."""
+    rng = np.random.default_rng(29)
+    test = random_batch(rng, spec, size=200)
+    for scale in (0.0, 1.0, 30.0):
+        theta = scale * rng.standard_normal(spec.param_dim)
+        predicted = _forward(spec, theta, test.features)[0].argmax(axis=1)
+        expected = (float((predicted == test.labels).mean()), model_loss(spec, theta, test))
+        assert evaluate(spec, theta, test) == expected
+    with pytest.raises(ValueError, match="non-finite logits while computing loss"):
+        evaluate(spec, np.full(spec.param_dim, 1e308), test)
 
 
 def test_overfit_memorizes_small_set():
