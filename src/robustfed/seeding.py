@@ -16,7 +16,6 @@ import hashlib
 from collections.abc import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # numpy.random.bit_generator's seed-hash constants
 _MASK32 = 0xFFFFFFFF
@@ -107,8 +106,9 @@ def seed_words(streams, rounds) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedWords(ISeedSequence):
-    """Precomputed PCG64 seed words, given to PCG64 in place of a SeedSequence."""
+class _SeedWords:
+    """Precomputed PCG64 seed words, given to PCG64 in place of a SeedSequence
+    (``stream_generators`` registers it as an ``ISeedSequence``)."""
 
     __slots__ = ("words",)
 
@@ -125,6 +125,9 @@ def stream_generators(streams, rounds: range) -> Iterator[list[np.random.Generat
     """For each t in ``rounds``, one generator per stream s, equal to
     ``default_rng(SeedSequence([s, t]))``. Seed words are computed a block of
     at most STREAM_BLOCK (stream, round) pairs at a time."""
+    # registered on use: importing numpy.random at module import would add
+    # about 10 ms to every process that imports the package
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     block = max(1, STREAM_BLOCK // max(len(streams), 1))
     for start in range(rounds.start, rounds.stop, block):
         words = seed_words(streams, range(start, min(start + block, rounds.stop)))
