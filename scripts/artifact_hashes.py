@@ -5,8 +5,9 @@ and of the wide-set kernels' outputs.
 Runs the 126 criterion-7 cells (``sweep.CRIT7_*``), the determinism
 config of ``verification`` at seeds 7 and 8, and that config with momentum
 0.9 and 3 local steps under sign flip, label flip and ALIE at the same
-seeds, through ``sweep.run_sweep``, and maps each cell to the hashes of its
-two artifacts. The grid's sets are N=10, so it also calls
+seeds, and that config with no byzantine clients under plain averaging,
+through ``sweep.run_sweep``, and maps each cell to the hashes of its two
+artifacts. The grid's sets are N=10, so it also calls
 ``pairwise_sq_distances``, ``nnm_mix`` and the 7 criterion-7 defenses, and
 the median, trimmed mean, geomed and cclip without mixing, directly on fixed
 N=100, d=10 000 sets, which take the wide path and reduce in tiles, and
@@ -47,6 +48,9 @@ DETERMINISM_SEEDS = [7, 8]
 # momentum buffers too.
 MOMENTUM_SCHEDULE = {"momentum": 0.9, "local_iters": 3}
 MOMENTUM_ATTACKS = [{"kind": "sign_flip"}, {"kind": "label_flip"}, {"kind": "alie", "z": 1.0}]
+# With f = 0 the local clients start at id 0 and the round loop skips its
+# attack branch, which no other sweep reaches.
+NO_BYZANTINE = {"n_byzantine": 0, "attack": {"kind": "none"}, "defense": {"kind": "average"}}
 WIDE_N, WIDE_D, WIDE_F = 100, 10_000, 20
 
 
@@ -58,6 +62,7 @@ def sweeps() -> dict[str, SweepSpec]:
         "crit7": crit7_sweep(CRIT7_SEEDS),
         "determinism": SweepSpec(base=determinism, seeds=DETERMINISM_SEEDS),
         "momentum": SweepSpec(base=momentum, attacks=MOMENTUM_ATTACKS, seeds=DETERMINISM_SEEDS),
+        "f0": SweepSpec(base={**determinism, **NO_BYZANTINE}, seeds=DETERMINISM_SEEDS),
     }
 
 

@@ -21,6 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .aggregators import Aggregator, AggregatorSpec
 from .attacks import AttackSpec, check_alie_search
+from .datasim import PARTITION_KINDS
 from .models import ModelSpec
 from .prodigy import check_honest_majority
 
@@ -49,8 +50,10 @@ class DataConfig:
             raise ValueError(f"dim={self.dim} too small for {self.n_classes} class anchors")
         if self.per_class < 1 or self.test_per_class < 1:
             raise ValueError("per_class and test_per_class must be positive")
-        if self.partition not in ("iid", "dirichlet"):
-            raise ValueError(f"unknown partition {self.partition!r}")
+        if self.partition not in PARTITION_KINDS:
+            raise ValueError(
+                f"unknown partition {self.partition!r}, expected one of {PARTITION_KINDS}"
+            )
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
@@ -122,6 +125,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"attack.z: {err}") from None
     if cfg.eval_every < 1:
         raise ConfigError("eval_every: must be at least 1")
+    if not 0 <= cfg.seed < 2**64:  # stream keys are 64-bit words: other seeds would alias
+        raise ConfigError(f"seed: {cfg.seed} outside [0, 2**64)")
 
     if cfg.model is None:
         cfg.model = ModelSpec(**_model_defaults(cfg.data))

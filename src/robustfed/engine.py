@@ -3,11 +3,11 @@ robust aggregation, and the two-step learning-rate schedule.
 
 Every client draws its batches from a counter-based RNG stream keyed by
 (master seed, client id, round), so results are identical no matter how the
-per-client work is scheduled. ``run_training`` computes the seeds of all
-those streams once per run, a block of rounds at a time
-(``seeding.stream_generators``), and concatenates the local clients' shards
-once (``LocalClients``), so each local iteration gathers every client's batch
-in one indexing operation.
+per-client work is scheduled. ``build_clients`` concatenates the local
+clients' shards once per run (``LocalClients``), so each local iteration
+gathers every client's batch in one indexing operation, and ``run_training``
+computes the seeds of all their streams once, a block of rounds at a time
+(``seeding.stream_generators``).
 """
 
 from __future__ import annotations
@@ -26,15 +26,6 @@ from .geometry import GradientSet, check_finite
 from .models import ModelSpec, evaluate, init_params, model_gradient
 from .prodigy import DegenerateRoundError, TrustScores
 from .seeding import stream_generators, stream_id
-
-
-@dataclass
-class ClientState:
-    """A client's shard and private RNG stream; client k is byzantine iff k < f."""
-
-    client_id: int
-    shard: LabeledDataset
-    rng_stream: int
 
 
 @dataclass
@@ -87,44 +78,43 @@ class LocalClients:
     streams: np.ndarray  # uint64 stream ids
 
     @classmethod
-    def of(cls, clients: Sequence[ClientState]) -> LocalClients:
-        sizes = np.array([c.shard.n_samples for c in clients], dtype=np.intp)
+    def of(
+        cls, client_ids: Sequence[int], shards: Sequence[LabeledDataset], streams: Sequence[int]
+    ) -> LocalClients:
+        """Client ``client_ids[k]`` holds ``shards[k]`` and RNG stream ``streams[k]``."""
+        sizes = np.array([shard.n_samples for shard in shards], dtype=np.intp)
         return cls(
-            client_ids=tuple(c.client_id for c in clients),
-            features=np.concatenate([c.shard.features for c in clients]),
-            labels=np.concatenate([c.shard.labels for c in clients]),
+            client_ids=tuple(client_ids),
+            features=np.concatenate([shard.features for shard in shards]),
+            labels=np.concatenate([shard.labels for shard in shards]),
             offsets=np.cumsum(sizes) - sizes,
             sizes=sizes,
-            streams=np.array([c.rng_stream for c in clients], dtype=np.uint64),
+            streams=np.array(streams, dtype=np.uint64),
         )
 
 
 def client_update(
     spec: ModelSpec,
     theta: np.ndarray,
-    clients: LocalClients | Sequence[ClientState],
+    clients: LocalClients,
     sched: TrainSchedule,
     round_idx: int,
-    rngs: Sequence[np.random.Generator] | None = None,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Run the local iterations of each client; return the (len, P)
     rate-normalized displacements, one row per client in order.
 
-    ``rngs`` holds each client's generator for this round; by default they
-    are built from the clients' streams (``seeding.stream_generators``).
-    Batches are disjoint draws without replacement from each shard, reshuffled
-    when exhausted. One local iteration returns the mini-batch gradient itself
-    (the normalized one-step displacement telescopes to exactly that). The
-    clients step in lockstep, one batched model pass per local iteration, and
-    every row equals that client's update computed alone.
+    ``rngs`` holds each client's generator for this round, built from the
+    clients' streams (``seeding.stream_generators``). Batches are disjoint
+    draws without replacement from each shard, reshuffled when exhausted. One
+    local iteration returns the mini-batch gradient itself (the normalized
+    one-step displacement telescopes to exactly that). The clients step in
+    lockstep, one batched model pass per local iteration, and every row
+    equals that client's update computed alone.
 
     The error raised is that of the first failing client in order: a shard
     that cannot fill a batch, or non-finite logits at any local iteration.
     """
-    if not isinstance(clients, LocalClients):
-        clients = LocalClients.of(clients)
-    if rngs is None:
-        rngs = next(stream_generators(clients.streams, range(round_idx, round_idx + 1)))
     b = sched.batch_size
     n = len(clients.sizes)
     error = None
@@ -195,10 +185,12 @@ def client_shards(cfg: ExperimentConfig) -> list[LabeledDataset]:
     )
 
 
-def build_clients(cfg: ExperimentConfig) -> tuple[list[ClientState], LabeledDataset]:
-    """Generate data and cut shards; returns clients + test set.
+def build_clients(cfg: ExperimentConfig) -> tuple[LocalClients, LabeledDataset]:
+    """Generate data and cut shards; returns the local clients + test set.
 
-    Byzantine roles go to the lowest f client ids. Label-flip byzantines get
+    Byzantine roles go to the lowest f client ids. The block holds the honest
+    clients f..N-1 and then, under a local attack only, the byzantines
+    0..f-1: honest updates, and errors, come first. Label-flip byzantines get
     their shard flipped here, once, so their local updates are poisoned at
     the source.
     """
@@ -207,15 +199,16 @@ def build_clients(cfg: ExperimentConfig) -> tuple[list[ClientState], LabeledData
     test = generate_blobs(
         data.n_classes, data.dim, data.test_per_class, data.separation, stream_id(cfg.seed, "test")
     )
+    f = cfg.n_byzantine
+    ids = list(range(f, cfg.n_clients))
+    if cfg.attack.kind in LOCAL_ATTACK_KINDS:
+        ids += range(f)
     flip = cfg.attack.kind == "label_flip"
-    clients = [
-        ClientState(
-            client_id=k,
-            shard=flip_labels(shard) if flip and k < cfg.n_byzantine else shard,
-            rng_stream=stream_id(cfg.seed, "client", k),
-        )
-        for k, shard in enumerate(shards)
-    ]
+    clients = LocalClients.of(
+        ids,
+        [flip_labels(shards[k]) if flip and k < f else shards[k] for k in ids],
+        [stream_id(cfg.seed, "client", k) for k in ids],
+    )
     return clients, test
 
 
@@ -237,9 +230,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     state = AggregatorState()
     theta = init_params(model, stream_id(cfg.seed, "init"))
     local_attack = cfg.attack.kind in LOCAL_ATTACK_KINDS
-    # honest clients first: their updates, and errors, come before the byzantines'
-    local_clients = LocalClients.of(clients[f:] + (clients[:f] if local_attack else []))
-    round_rngs = stream_generators(local_clients.streams, range(sched.rounds))
+    round_rngs = stream_generators(clients.streams, range(sched.rounds))
     # row k is client k's buffer, in the round layout of ``sent``
     momentum = np.zeros((n, model.param_dim))
 
@@ -249,7 +240,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         sent = np.empty((n, model.param_dim))
 
         start = time.perf_counter()
-        updates = client_update(model, theta, local_clients, sched, t, next(round_rngs))
+        updates = client_update(model, theta, clients, sched, t, next(round_rngs))
         sent[f:] = updates[: n - f]
         if beta > 0:
             sent[f:] = apply_momentum(momentum[f:], sent[f:], beta)

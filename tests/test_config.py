@@ -103,6 +103,26 @@ def test_wrong_types_reported_with_path():
         parse_config('{"n_clients": 10, "n_byzantine": 3, "defense": {"kind": "mystery"}}')
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seed_outside_64_bits_rejected(seed):
+    """The stream keys are 64-bit words, so a seed outside [0, 2**64) would
+    run the streams of another seed (-1 those of 2**64 - 1)."""
+    with pytest.raises(ConfigError, match=rf"^seed: {seed} outside \[0, 2\*\*64\)"):
+        config_from_dict({"n_clients": 10, "n_byzantine": 3, "seed": seed})
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_accepted(seed):
+    assert config_from_dict({"n_clients": 10, "n_byzantine": 3, "seed": seed}).seed == seed
+
+
+def test_unknown_partition_rejected_with_its_kinds():
+    document = {"n_clients": 10, "n_byzantine": 3, "data": {"partition": "shards"}}
+    message = r"^data: unknown partition 'shards', expected one of \('iid', 'dirichlet'\)"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(document)
+
+
 def test_min_shard_must_cover_a_batch():
     doc = '{"n_clients": 10, "n_byzantine": 3, "data": {"min_shard": 4}, "schedule": {"batch_size": 16}}'
     with pytest.raises(ConfigError, match="min_shard"):

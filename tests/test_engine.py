@@ -3,12 +3,14 @@ import pytest
 
 import robustfed.engine as engine_mod
 from robustfed.aggregators import AggregationResult, Aggregator
+from robustfed.attacks import LOCAL_ATTACK_KINDS
 from robustfed.config import ExperimentConfig, TrainSchedule, config_from_dict, validate_config
-from robustfed.datasim import LabeledDataset
+from robustfed.datasim import LabeledDataset, flip_labels
 from robustfed.engine import (
-    ClientState,
+    LocalClients,
     apply_momentum,
     build_clients,
+    client_shards,
     client_update,
     lr_schedule,
     run_training,
@@ -17,7 +19,7 @@ from robustfed.geometry import GradientSet
 from robustfed.models import ModelSpec, model_gradient
 from robustfed.oracles import ref_two_step_sgd
 from robustfed.prodigy import DegenerateRoundError, TrustScores
-from robustfed.seeding import stream_id
+from robustfed.seeding import stream_generators, stream_id
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -42,11 +44,33 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 def make_client(rng, n_samples=40, dim=6, n_classes=4, client_id=0):
+    """A one-client block, with its shard and stream for the references."""
     shard = LabeledDataset(
         rng.standard_normal((n_samples, dim)), rng.integers(0, n_classes, n_samples), n_classes
     )
     spec = ModelSpec("softmax_linear", input_dim=dim, n_classes=n_classes)
-    return spec, ClientState(client_id, shard, stream_id(99, "client", client_id))
+    stream = stream_id(99, "client", client_id)
+    return spec, LocalClients.of([client_id], [shard], [stream]), shard, stream
+
+
+def update_of(spec, theta, clients, sched, round_idx):
+    """``client_update`` with the round's generators, as the round loop passes them."""
+    rngs = next(stream_generators(clients.streams, range(round_idx, round_idx + 1)))
+    return client_update(spec, theta, clients, sched, round_idx, rngs)
+
+
+def local_clients(cfg):
+    """(id, shard, stream) of the clients that train locally, in update order,
+    from the data alone: honest ids f..N-1, then, under a local attack, the
+    byzantines 0..f-1 with flipped shards under label flip."""
+    f = cfg.n_byzantine
+    shards = client_shards(cfg)
+    ids = list(range(f, cfg.n_clients))
+    if cfg.attack.kind in LOCAL_ATTACK_KINDS:
+        ids += range(f)
+    flip = cfg.attack.kind == "label_flip"
+    shards = [flip_labels(shards[k]) if flip and k < f else shards[k] for k in ids]
+    return [(k, shard, stream_id(cfg.seed, "client", k)) for k, shard in zip(ids, shards)]
 
 
 def test_lr_schedule_paper_values():
@@ -100,39 +124,39 @@ def test_momentum_rows_are_independent_buffers():
 
 def test_client_update_single_step_is_batch_gradient():
     rng = np.random.default_rng(2)
-    spec, client = make_client(rng)
+    spec, clients, shard, stream = make_client(rng)
     sched = TrainSchedule(rounds=10, local_iters=1, batch_size=8)
     theta = rng.standard_normal(spec.param_dim)
-    update = client_update(spec, theta, [client], sched, round_idx=0)[0]
+    update = update_of(spec, theta, clients, sched, round_idx=0)[0]
     # reconstruct the batch from the same counter-based stream
-    stream = np.random.default_rng(np.random.SeedSequence([client.rng_stream, 0]))
-    batch_idx = stream.permutation(client.shard.n_samples)[:8]
-    expected = model_gradient(spec, theta, client.shard.subset(batch_idx))
+    draws = np.random.default_rng(np.random.SeedSequence([stream, 0]))
+    batch_idx = draws.permutation(shard.n_samples)[:8]
+    expected = model_gradient(spec, theta, shard.subset(batch_idx))
     assert np.array_equal(update, expected)
 
 
 def test_client_update_gamma_invariant_at_single_step():
     rng = np.random.default_rng(3)
-    spec, client = make_client(rng)
+    spec, clients, _, _ = make_client(rng)
     theta = rng.standard_normal(spec.param_dim)
     fast = TrainSchedule(rounds=10, gamma_hi=0.05)
     slow = TrainSchedule(rounds=10, gamma_hi=0.025)
     assert np.array_equal(
-        client_update(spec, theta, [client], fast, 0)[0],
-        client_update(spec, theta, [client], slow, 0)[0],
+        update_of(spec, theta, clients, fast, 0)[0],
+        update_of(spec, theta, clients, slow, 0)[0],
     )
 
 
 def test_client_update_two_steps_matches_literal_oracle():
     rng = np.random.default_rng(4)
-    spec, client = make_client(rng)
+    spec, clients, shard, stream = make_client(rng)
     sched = TrainSchedule(rounds=10, local_iters=2, batch_size=8)
     theta = rng.standard_normal(spec.param_dim)
-    update = client_update(spec, theta, [client], sched, round_idx=1)[0]
+    update = update_of(spec, theta, clients, sched, round_idx=1)[0]
 
-    stream = np.random.default_rng(np.random.SeedSequence([client.rng_stream, 1]))
-    perm = stream.permutation(client.shard.n_samples)
-    batches = [client.shard.subset(perm[:8]), client.shard.subset(perm[8:16])]
+    draws = np.random.default_rng(np.random.SeedSequence([stream, 1]))
+    perm = draws.permutation(shard.n_samples)
+    batches = [shard.subset(perm[:8]), shard.subset(perm[8:16])]
     expected = ref_two_step_sgd(
         lambda th, batch: model_gradient(spec, th, batch), theta, batches, lr_schedule(1, sched)
     )
@@ -141,35 +165,72 @@ def test_client_update_two_steps_matches_literal_oracle():
 
 def test_client_update_reshuffles_when_exhausted():
     rng = np.random.default_rng(5)
-    spec, client = make_client(rng, n_samples=10)
+    spec, clients, _, _ = make_client(rng, n_samples=10)
     sched = TrainSchedule(rounds=10, local_iters=3, batch_size=4)
     theta = rng.standard_normal(spec.param_dim)
-    update = client_update(spec, theta, [client], sched, round_idx=0)[0]
+    update = update_of(spec, theta, clients, sched, round_idx=0)[0]
     assert np.all(np.isfinite(update))
 
 
 def test_client_update_rejects_small_shard():
     rng = np.random.default_rng(6)
-    spec, client = make_client(rng, n_samples=4)
+    spec, clients, _, _ = make_client(rng, n_samples=4)
     sched = TrainSchedule(rounds=10, batch_size=8)
     with pytest.raises(ValueError, match="batch"):
-        client_update(spec, rng.standard_normal(spec.param_dim), [client], sched, 0)
+        update_of(spec, rng.standard_normal(spec.param_dim), clients, sched, 0)
+
+
+def block_rows(clients, row):
+    """The features and labels of the block's ``row``-th client."""
+    rows = slice(clients.offsets[row], clients.offsets[row] + clients.sizes[row])
+    return clients.features[rows], clients.labels[rows]
 
 
 def test_byzantine_roles_and_label_flip_shards():
-    """Label flip poisons exactly shards 0..f-1; ids, features and streams
-    are those of the unflipped run."""
+    """Label flip poisons exactly shards 0..f-1; features and streams are
+    those of the unflipped shards."""
     cfg = small_config(n_byzantine=2, attack={"kind": "label_flip"}, defense={"kind": "prodigy"})
     clients, _ = build_clients(cfg)
-    plain_cfg = small_config(n_byzantine=2, attack={"kind": "none"}, defense={"kind": "prodigy"})
-    plain_clients, _ = build_clients(plain_cfg)
-    assert [c.client_id for c in clients] == list(range(cfg.n_clients))
-    for k, (client, plain) in enumerate(zip(clients, plain_clients)):
-        labels = plain.shard.labels
-        expected = plain.shard.n_classes - 1 - labels if k < 2 else labels
-        assert np.array_equal(client.shard.labels, expected)
-        assert np.array_equal(client.shard.features, plain.shard.features)
-        assert client.rng_stream == plain.rng_stream
+    shards = client_shards(cfg)
+    assert clients.client_ids == (2, 3, 4, 5, 0, 1)
+    for row, k in enumerate(clients.client_ids):
+        features, labels = block_rows(clients, row)
+        plain = shards[k].labels
+        assert np.array_equal(labels, shards[k].n_classes - 1 - plain if k < 2 else plain)
+        assert np.array_equal(features, shards[k].features)
+        assert clients.streams[row] == stream_id(cfg.seed, "client", k)
+
+
+@pytest.mark.parametrize(
+    "f, attack, ids",
+    [
+        (2, "alie", (2, 3, 4, 5)),
+        (2, "label_flip", (2, 3, 4, 5, 0, 1)),
+        (2, "sign_flip", (2, 3, 4, 5, 0, 1)),
+        (0, "none", (0, 1, 2, 3, 4, 5)),
+    ],
+    ids=["omniscient", "label_flip", "sign_flip", "no-byzantine"],
+)
+def test_build_clients_block_holds_the_local_clients_in_update_order(f, attack, ids):
+    """Honest clients first, then the byzantines under a local attack only;
+    each row holds its client's shard, flipped for a label-flip byzantine,
+    and its client's stream."""
+    cfg = small_config(n_byzantine=f, attack={"kind": attack})
+    clients, _ = build_clients(cfg)
+    reference = local_clients(cfg)
+    assert clients.client_ids == ids == tuple(k for k, _, _ in reference)
+    assert np.array_equal(clients.offsets, np.cumsum(clients.sizes) - clients.sizes)
+    for row, (k, shard, stream) in enumerate(reference):
+        features, labels = block_rows(clients, row)
+        assert np.array_equal(features, shard.features)
+        assert np.array_equal(labels, shard.labels)
+        assert clients.streams[row] == stream
+    shards = client_shards(cfg)
+    flipped = [
+        not np.array_equal(block_rows(clients, row)[1], shards[k].labels)
+        for row, k in enumerate(ids)
+    ]
+    assert flipped == [attack == "label_flip" and k < f for k in ids]
 
 
 def test_zero_rounds_returns_initial_model():
@@ -207,16 +268,16 @@ def test_f0_average_bit_parity_with_sgd_oracle():
     cfg = small_config()
     result = run_training(cfg)
 
-    clients, _ = build_clients(cfg)
+    clients = local_clients(cfg)
     from robustfed.models import init_params
 
     theta = init_params(cfg.model, stream_id(cfg.seed, "init"))
     for t in range(cfg.schedule.rounds):
         grads = []
-        for client in clients:
-            stream = np.random.default_rng(np.random.SeedSequence([client.rng_stream, t]))
-            idx = stream.permutation(client.shard.n_samples)[: cfg.schedule.batch_size]
-            grads.append(model_gradient(cfg.model, theta, client.shard.subset(idx)))
+        for _, shard, stream in clients:
+            rng = np.random.default_rng(np.random.SeedSequence([stream, t]))
+            idx = rng.permutation(shard.n_samples)[: cfg.schedule.batch_size]
+            grads.append(model_gradient(cfg.model, theta, shard.subset(idx)))
         theta = theta - lr_schedule(t, cfg.schedule) * np.stack(grads).mean(axis=0)
     assert np.array_equal(result.theta, theta)
 
@@ -236,17 +297,16 @@ def test_mean_preserving_injection_trajectory():
     finally:
         engine_mod.craft_attack = original
 
-    clients, _ = build_clients(cfg)
-    honest = clients[2:]
+    honest = [client for client in local_clients(cfg) if client[0] >= 2]
     from robustfed.models import init_params
 
     theta = init_params(cfg.model, stream_id(cfg.seed, "init"))
     for t in range(cfg.schedule.rounds):
         grads = []
-        for client in honest:
-            stream = np.random.default_rng(np.random.SeedSequence([client.rng_stream, t]))
-            idx = stream.permutation(client.shard.n_samples)[: cfg.schedule.batch_size]
-            grads.append(model_gradient(cfg.model, theta, client.shard.subset(idx)))
+        for _, shard, stream in honest:
+            rng = np.random.default_rng(np.random.SeedSequence([stream, t]))
+            idx = rng.permutation(shard.n_samples)[: cfg.schedule.batch_size]
+            grads.append(model_gradient(cfg.model, theta, shard.subset(idx)))
         honest_mean = np.stack(grads).mean(axis=0)
         # average of (honest updates + f copies of their mean) is again the mean
         full = np.vstack([np.tile(honest_mean, (2, 1)), np.stack(grads)]).mean(axis=0)

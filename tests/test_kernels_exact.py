@@ -47,10 +47,10 @@ from robustfed.attacks import (
     foe_candidates,
 )
 from robustfed.config import TrainSchedule, config_from_dict, validate_config
-from robustfed.datasim import LabeledDataset
+from robustfed.datasim import LabeledDataset, flip_labels, generate_blobs
 from robustfed.engine import (
-    ClientState,
-    build_clients,
+    LocalClients,
+    client_shards,
     client_update,
     lr_schedule,
     run_training,
@@ -69,7 +69,7 @@ from robustfed.prodigy import (
     dissimilarity_scores,
     prodigy_aggregate,
 )
-from robustfed.seeding import stream_id
+from robustfed.seeding import stream_generators, stream_id
 
 
 def loop_pairwise_sq_distances(g: GradientSet) -> np.ndarray:
@@ -841,16 +841,17 @@ def loop_model_gradient(spec, theta, batch):
 
 
 def loop_client_update(spec, theta, client, sched, round_idx):
-    m = client.shard.n_samples
+    """One client's update alone; ``client`` is its (id, shard, stream)."""
+    client_id, shard, stream = client
+    m = shard.n_samples
     if sched.batch_size > m:
         raise ValueError(
-            f"client {client.client_id} shard of {m} samples cannot fill a batch "
-            f"of {sched.batch_size}"
+            f"client {client_id} shard of {m} samples cannot fill a batch of {sched.batch_size}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([client.rng_stream, round_idx]))
+    rng = np.random.default_rng(np.random.SeedSequence([stream, round_idx]))
     perm = rng.permutation(m)
     if sched.local_iters == 1:
-        return loop_model_gradient(spec, theta, client.shard.subset(perm[: sched.batch_size]))
+        return loop_model_gradient(spec, theta, shard.subset(perm[: sched.batch_size]))
 
     gamma = lr_schedule(round_idx, sched)
     theta_local = theta
@@ -859,7 +860,7 @@ def loop_client_update(spec, theta, client, sched, round_idx):
         if pos + sched.batch_size > m:
             perm = rng.permutation(m)
             pos = 0
-        batch = client.shard.subset(perm[pos : pos + sched.batch_size])
+        batch = shard.subset(perm[pos : pos + sched.batch_size])
         pos += sched.batch_size
         theta_local = theta_local - gamma * loop_model_gradient(spec, theta_local, batch)
     return (theta - theta_local) / gamma
@@ -867,18 +868,26 @@ def loop_client_update(spec, theta, client, sched, round_idx):
 
 def loop_run_training(cfg):
     """The round loop as it was: one client_update call and one momentum
-    buffer per client, each client's role read from its id."""
+    buffer per client, each client's role read from its id, and its shard
+    and stream derived from the config alone."""
     validate_config(cfg)
-    sched, model = cfg.schedule, cfg.model
-    clients, test = build_clients(cfg)
-    honest_clients = [c for c in clients if c.client_id >= cfg.n_byzantine]
-    byz_clients = [c for c in clients if c.client_id < cfg.n_byzantine]
-    momentum = {c.client_id: np.zeros(model.param_dim) for c in clients}
+    sched, model, data, f = cfg.schedule, cfg.model, cfg.data, cfg.n_byzantine
+    flip = cfg.attack.kind == "label_flip"
+    clients = [
+        (k, flip_labels(shard) if flip and k < f else shard, stream_id(cfg.seed, "client", k))
+        for k, shard in enumerate(client_shards(cfg))
+    ]
+    test = generate_blobs(
+        data.n_classes, data.dim, data.test_per_class, data.separation, stream_id(cfg.seed, "test")
+    )
+    honest_clients = [c for c in clients if c[0] >= f]
+    byz_clients = [c for c in clients if c[0] < f]
+    momentum = {k: np.zeros(model.param_dim) for k, _, _ in clients}
 
     def ema(client, g):
-        beta = sched.momentum
-        momentum[client.client_id] = beta * momentum[client.client_id] + (1.0 - beta) * g
-        return momentum[client.client_id]
+        k, beta = client[0], sched.momentum
+        momentum[k] = beta * momentum[k] + (1.0 - beta) * g
+        return momentum[k]
 
     aggregator = Aggregator(cfg.defense, cfg.n_clients, cfg.n_byzantine)
     state = AggregatorState()
@@ -891,14 +900,14 @@ def loop_run_training(cfg):
             g = loop_client_update(model, theta, client, sched, t)
             if sched.momentum > 0:
                 g = ema(client, g)
-            sent[client.client_id] = g
+            sent[client[0]] = g
         if byz_clients:
             local = None
             if local_attack:
                 local = np.stack(
                     [loop_client_update(model, theta, c, sched, t) for c in byz_clients]
                 )
-            honest_rows = np.stack([sent[c.client_id] for c in honest_clients])
+            honest_rows = np.stack([sent[c[0]] for c in honest_clients])
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
             f = len(byz_clients)
             crafted = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
@@ -906,7 +915,7 @@ def loop_run_training(cfg):
                 v = crafted[i]
                 if local_attack and sched.momentum > 0:
                     v = ema(client, v)
-                sent[client.client_id] = v
+                sent[client[0]] = v
         try:
             result = aggregator(GradientSet(sent), state)
         except DegenerateRoundError:
@@ -1013,9 +1022,10 @@ def test_run_training_equals_per_client_round_loop(local_iters, attack):
 
 
 def error_clients(kinds):
-    """Softmax clients on 2-D features, one per kind: 'ok', 'small' (cannot
-    fill a batch of 4), 'late' (diverges at the second local step under
-    ERROR_SCHEDULE) and 'early' (non-finite logits at the first step)."""
+    """Softmax clients on 2-D features as (id, shard, stream), one per kind:
+    'ok', 'small' (cannot fill a batch of 4), 'late' (diverges at the second
+    local step under ERROR_SCHEDULE) and 'early' (non-finite logits at the
+    first step)."""
     rng = np.random.default_rng(0)
     clients = []
     for k, kind in enumerate(kinds):
@@ -1026,8 +1036,16 @@ def error_clients(kinds):
         if kind == "early":
             features = np.full((n, 2), 1e308)
         shard = LabeledDataset(features, rng.integers(0, 2, n), 2)
-        clients.append(ClientState(k, shard, stream_id(1, "client", k)))
+        clients.append((k, shard, stream_id(1, "client", k)))
     return clients
+
+
+def block_update(spec, theta, clients, sched, round_idx):
+    """``client_update`` on the block of ``clients``, in their order, with the
+    round's generators."""
+    block = LocalClients.of(*zip(*clients))
+    rngs = next(stream_generators(block.streams, range(round_idx, round_idx + 1)))
+    return client_update(spec, theta, block, sched, round_idx, rngs)
 
 
 ERROR_SPEC = ModelSpec("softmax_linear", input_dim=2, n_classes=2, l2_reg=0.0)
@@ -1058,7 +1076,7 @@ def test_client_update_errors_follow_client_order(kinds, local_iters):
             for client in clients:
                 loop_client_update(ERROR_SPEC, theta, client, sched, 0)
         with pytest.raises(ValueError) as raised:
-            client_update(ERROR_SPEC, theta, clients, sched, 0)
+            block_update(ERROR_SPEC, theta, clients, sched, 0)
     assert str(raised.value) == str(expected.value)
     if kinds[0] == "late" and local_iters > 1:
         # the 'late' client's own parameters, not the shared start of 'early'
@@ -1070,6 +1088,6 @@ def test_client_update_rows_follow_client_order():
     spec = ModelSpec("softmax_linear", input_dim=2, n_classes=2)
     sched = TrainSchedule(rounds=4, local_iters=3, batch_size=5, gamma_hi=0.5)
     theta = np.random.default_rng(1).standard_normal(spec.param_dim)
-    batched = client_update(spec, theta, clients[::-1], sched, 2)
+    batched = block_update(spec, theta, clients[::-1], sched, 2)
     expected = np.stack([loop_client_update(spec, theta, c, sched, 2) for c in clients[::-1]])
     assert np.array_equal(batched, expected)
