@@ -18,16 +18,33 @@ prints the same object as its parent:
     python3 scripts/artifact_hashes.py --jobs 2 > change.json
     (same command in a checkout of the parent) > parent.json
     diff parent.json change.json
+
+or the object that the committed reference ``HASHES.json`` records:
+
+    python3 scripts/artifact_hashes.py --jobs 2 --check HASHES.json
+
+The reference holds the hashes and the fingerprint of the machine they were
+taken on (``fingerprint``): numpy's and Python's versions, the machine type
+and the CPU features numpy dispatches on, since einsum's summation order
+follows them. On any other fingerprint ``--check`` fails without running,
+saying that the reference does not apply. ``--write HASHES.json`` records a
+new reference, for a change that alters results on purpose.
 """
 
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -135,23 +152,69 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=1, help="parallel runs")
-    args = parser.parse_args()
+def fingerprint() -> dict:
+    """What the hashes depend on beyond the source."""
+    return {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpu_features": sorted(name for name, enabled in __cpu_features__.items() if enabled),
+    }
 
+
+def all_hashes(jobs: int) -> tuple[dict, list[str]]:
+    """The hashes of every key, and a line per failed run."""
     hashes = wide_hashes()
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in sweeps().items():
-            for row in run_sweep(spec, Path(tmp) / name, jobs=args.jobs):
+            for row in run_sweep(spec, Path(tmp) / name, jobs=jobs):
                 cell = f"{name}/{row['defense']}/{row['attack']}/seed{row['seed']}"
                 if row["status"] != "ok":
                     failed.append(f"{cell}: {row['error']}")
                     continue
                 out = Path(row["output_dir"])
                 hashes[cell] = {a: sha256(out / a) for a in ARTIFACTS if (out / a).exists()}
-    print(json.dumps(hashes, indent=1, sort_keys=True))
+    return hashes, failed
+
+
+def check(reference: dict, jobs: int) -> int:
+    """0 if this tree's hashes equal the reference's, 1 if not, 2 if the
+    reference was taken on another fingerprint."""
+    recorded, here = reference["fingerprint"], fingerprint()
+    if recorded != here:
+        for key in sorted(recorded.keys() | here.keys()):
+            if recorded.get(key) != here.get(key):
+                print(f"{key}: reference {recorded.get(key)!r}, here {here.get(key)!r}")
+        print("the reference does not apply here: compare against a run of the parent commit")
+        return 2
+    hashes, failed = all_hashes(jobs)
+    expected = reference["hashes"]
+    differ = sorted(k for k in expected.keys() | hashes.keys() if expected.get(k) != hashes.get(k))
+    for key in differ:
+        print(f"differs: {key}: reference {expected.get(key)}, here {hashes.get(key)}")
+    for line in failed:
+        print(f"failed: {line}")
+    print(f"{len(expected) - len(differ)} of {len(expected)} reference keys match")
+    return 1 if differ or failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", metavar="REFERENCE", help="compare against a reference file")
+    mode.add_argument("--write", metavar="REFERENCE", help="record a reference file")
+    args = parser.parse_args(argv)
+
+    if args.check:
+        return check(json.loads(Path(args.check).read_text()), args.jobs)
+    hashes, failed = all_hashes(args.jobs)
+    if not args.write:
+        print(json.dumps(hashes, indent=1, sort_keys=True))
+    elif not failed:
+        reference = {"fingerprint": fingerprint(), "hashes": hashes}
+        Path(args.write).write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n")
     for line in failed:
         print(f"failed: {line}", file=sys.stderr)
     return 1 if failed else 0

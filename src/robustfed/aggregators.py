@@ -254,7 +254,11 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
             for j in indices[k, : n - f - 1].tolist():
                 np.add(row, g.vectors[j], out=row)
             row /= n - f
-    return GradientSet(mixed)
+    try:
+        return GradientSet(mixed)
+    except ValueError:  # the set is finite, so its mix overflowed
+        bad = int(np.argmin(np.isfinite(mixed).all(axis=1)))
+        raise ValueError(f"nearest-neighbor mixing overflowed in mixed row {bad}") from None
 
 
 # Per kind, the rule applied to the (mixed) set, given f. Each entry looks its

@@ -31,12 +31,12 @@ def _load(path: str) -> str:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(_load(args.config))
-    artifacts = execute_run(cfg)
-    print(f"wrote {artifacts.output_dir}")
+    summary = execute_run(cfg)
+    print(f"wrote {summary.output_dir}")
     print(
-        f"final_accuracy={artifacts.final_accuracy:.4f} "
-        f"worst_round_accuracy={artifacts.worst_round_accuracy:.4f} "
-        f"wall_time_s={artifacts.wall_time_s:.2f}"
+        f"final_accuracy={summary.final_accuracy:.4f} "
+        f"worst_round_accuracy={summary.worst_round_accuracy:.4f} "
+        f"wall_time_s={summary.wall_time_s:.2f}"
     )
     return EXIT_OK
 

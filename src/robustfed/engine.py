@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,30 +29,37 @@ from .seeding import stream_generators, stream_id
 
 
 @dataclass
-class RoundRecord:
-    """Per-round metrics; loss/accuracy are filled on evaluation rounds only.
+class RoundOutcome:
+    """One round's deterministic result, a row of metrics.csv (columns as
+    ``runner.record_keys`` names them); loss and accuracy are filled on
+    evaluation rounds only. The trust scores go to the sidecar instead."""
 
-    The ``*_ms`` fields are wall-clock phase times: the final aggregation,
-    the honest and byzantine local updates, attack crafting (including its
-    search over the defense), and evaluation.
-    """
-
-    round_idx: int
+    round_idx: int = field(metadata={"key": "round"})
     gamma: float
     global_loss: float | None
     test_accuracy: float | None
+    degenerate: bool = field(metadata={"key": "degenerate_flag"})
+    trust: TrustScores | None = field(metadata={"key": None})
+
+
+@dataclass
+class PhaseTimes:
+    """One round's wall-clock phase times, a row of timings.csv: the final
+    aggregation, the honest and byzantine local updates, attack crafting
+    (including its search over the defense), and evaluation."""
+
+    round_idx: int = field(metadata={"key": "round"})
     agg_wall_ms: float
     client_ms: float
     attack_ms: float
     eval_ms: float
-    degenerate: bool
-    trust: TrustScores | None
 
 
 @dataclass
 class TrainResult:
     theta: np.ndarray
-    records: list[RoundRecord]
+    records: list[RoundOutcome]
+    timings: list[PhaseTimes]
     final_accuracy: float
     final_loss: float
 
@@ -234,7 +241,8 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     # row k is client k's buffer, in the round layout of ``sent``
     momentum = np.zeros((n, model.param_dim))
 
-    records: list[RoundRecord] = []
+    records: list[RoundOutcome] = []
+    timings: list[PhaseTimes] = []
     for t in range(sched.rounds):
         gamma = lr_schedule(t, sched)
         sent = np.empty((n, model.param_dim))
@@ -278,25 +286,11 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         if (t + 1) % cfg.eval_every == 0 or t == sched.rounds - 1:
             accuracy, loss = evaluate(model, theta, test)
         eval_ms = (time.perf_counter() - start) * 1e3
-        records.append(
-            RoundRecord(
-                round_idx=t,
-                gamma=gamma,
-                global_loss=loss,
-                test_accuracy=accuracy,
-                agg_wall_ms=wall_ms,
-                client_ms=client_ms,
-                attack_ms=attack_ms,
-                eval_ms=eval_ms,
-                degenerate=degenerate,
-                trust=result.trust,
-            )
-        )
+        records.append(RoundOutcome(t, gamma, loss, accuracy, degenerate, result.trust))
+        timings.append(PhaseTimes(t, wall_ms, client_ms, attack_ms, eval_ms))
 
     if records:  # the last round always evaluates
         final_accuracy, final_loss = records[-1].test_accuracy, records[-1].global_loss
     else:
         final_accuracy, final_loss = evaluate(model, theta, test)
-    return TrainResult(
-        theta=theta, records=records, final_accuracy=final_accuracy, final_loss=final_loss
-    )
+    return TrainResult(theta, records, timings, final_accuracy, final_loss)

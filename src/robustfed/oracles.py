@@ -157,23 +157,3 @@ def ref_fd_gradient(loss_fn, theta: np.ndarray, step: float = 1e-5) -> np.ndarra
         lo[i] -= step
         grad[i] = (loss_fn(hi) - loss_fn(lo)) / (2.0 * step)
     return grad
-
-
-def ref_nearest_centroid_accuracy(train, test) -> float:
-    """Centroid classifier accuracy: the independent bound for blob sanity checks."""
-    centroids = np.stack(
-        [train.features[train.labels == c].mean(axis=0) for c in range(train.n_classes)]
-    )
-    predictions = []
-    for x in test.features:
-        dists = [float(np.dot(x - c, x - c)) for c in centroids]
-        predictions.append(int(np.argmin(dists)))
-    return float(np.mean(np.asarray(predictions) == test.labels))
-
-
-def ref_two_step_sgd(gradient_fn, theta: np.ndarray, batches, gamma: float) -> np.ndarray:
-    """Literal multi-step local update returning the normalized displacement."""
-    current = np.asarray(theta, dtype=float).copy()
-    for batch in batches:
-        current = current - gamma * gradient_fn(current, batch)
-    return (np.asarray(theta, dtype=float) - current) / gamma

@@ -1,7 +1,11 @@
 """Single-run execution: training plus on-disk artifacts.
 
-Metric CSVs contain only deterministic values so reruns of the same config
-are byte-identical; wall-clock timings go to a separate file.
+Each file is written from one record type, a column (or key) per field in
+declaration order (``record_keys``): metrics.csv from ``engine.RoundOutcome``,
+deterministic, so reruns of the same config are byte-identical; timings.csv
+from ``engine.PhaseTimes``, the wall-clock phase times, kept apart; and
+summary.json from ``RunSummary``. trust_scores.jsonl holds each round
+outcome's trust scores.
 """
 
 from __future__ import annotations
@@ -10,25 +14,27 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .config import ExperimentConfig, config_to_dict
-from .engine import TrainResult, run_training
+from .engine import PhaseTimes, RoundOutcome, TrainResult, run_training
 
 OUTPUT_DIR_ENV = "ROBUSTFED_OUTPUT_DIR"
 
-METRICS_COLUMNS = ("round", "gamma", "global_loss", "test_accuracy", "degenerate_flag")
-TIMINGS_COLUMNS = ("round", "agg_wall_ms", "client_ms", "attack_ms", "eval_ms")
-
 
 @dataclass
-class RunArtifacts:
-    output_dir: Path
+class RunSummary:
+    """One run's summary.json, and the directory its files went to."""
+
     final_accuracy: float
     final_loss: float
     worst_round_accuracy: float
+    rounds: int
     wall_time_s: float
+    config: dict
+    output_dir: Path = field(metadata={"key": None})
 
 
 def default_output_dir() -> Path:
@@ -43,32 +49,31 @@ def resolve_output_dir(cfg: ExperimentConfig) -> Path:
     return default_output_dir()
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+def record_keys(cls) -> tuple[attrgetter, tuple[str, ...]]:
+    """A getter of the fields of record type ``cls`` that its file holds, in
+    declaration order, and their names there: a field's metadata "key"
+    renames it, and key None leaves it out."""
+    keys = {f.name: f.metadata.get("key", f.name) for f in fields(cls)}
+    kept = {name: key for name, key in keys.items() if key is not None}
+    return attrgetter(*kept), tuple(kept.values())
 
 
-def write_metrics_csv(result: TrainResult, path: Path) -> None:
+def _cell(value):
+    """A CSV cell: a float as its repr, a flag as 0 or 1, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_csv(cls, records, path: Path) -> None:
+    """A header of ``cls``'s ``record_keys``, then one row per record."""
+    get, header = record_keys(cls)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for rec in result.records:
-            writer.writerow(
-                [
-                    rec.round_idx,
-                    repr(rec.gamma),
-                    _fmt(rec.global_loss),
-                    _fmt(rec.test_accuracy),
-                    int(rec.degenerate),
-                ]
-            )
-
-
-def write_timings_csv(result: TrainResult, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIMINGS_COLUMNS)
-        for rec in result.records:
-            writer.writerow([rec.round_idx] + [repr(getattr(rec, c)) for c in TIMINGS_COLUMNS[1:]])
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in get(rec)] for rec in records)
 
 
 def write_trust_jsonl(result: TrainResult, path: Path) -> None:
@@ -80,7 +85,7 @@ def write_trust_jsonl(result: TrainResult, path: Path) -> None:
             fh.write(json.dumps(line) + "\n")
 
 
-def execute_run(cfg: ExperimentConfig) -> RunArtifacts:
+def execute_run(cfg: ExperimentConfig) -> RunSummary:
     """Train once and write metrics.csv, timings.csv, summary.json, and the
     trust-score sidecar (when the defense produces trust scores)."""
     start = time.perf_counter()
@@ -89,28 +94,23 @@ def execute_run(cfg: ExperimentConfig) -> RunArtifacts:
 
     out_dir = resolve_output_dir(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(result, out_dir / "metrics.csv")
-    write_timings_csv(result, out_dir / "timings.csv")
+    write_csv(RoundOutcome, result.records, out_dir / "metrics.csv")
+    write_csv(PhaseTimes, result.timings, out_dir / "timings.csv")
     if any(rec.trust is not None for rec in result.records):
         write_trust_jsonl(result, out_dir / "trust_scores.jsonl")
 
     evaluated = [rec.test_accuracy for rec in result.records if rec.test_accuracy is not None]
-    worst = min(evaluated) if evaluated else result.final_accuracy
-    summary = {
-        "final_accuracy": result.final_accuracy,
-        "final_loss": result.final_loss,
-        "worst_round_accuracy": worst,
-        "rounds": cfg.schedule.rounds,
-        "wall_time_s": wall,
-        "config": config_to_dict(cfg),
-    }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    return RunArtifacts(
-        output_dir=out_dir,
+    summary = RunSummary(
         final_accuracy=result.final_accuracy,
         final_loss=result.final_loss,
-        worst_round_accuracy=worst,
+        worst_round_accuracy=min(evaluated, default=result.final_accuracy),
+        rounds=cfg.schedule.rounds,
         wall_time_s=wall,
+        config=config_to_dict(cfg),
+        output_dir=out_dir,
     )
+    get, keys = record_keys(RunSummary)
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(dict(zip(keys, get(summary))), fh, indent=2)
+        fh.write("\n")
+    return summary

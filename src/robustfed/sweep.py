@@ -152,22 +152,20 @@ def expand_grid(spec: SweepSpec, sweep_dir: Path) -> list[ExperimentConfig]:
 def _run_point(payload: dict) -> dict:
     """Worker body; failures are reported as rows, never raised."""
     cfg = config_from_dict(payload)
-    row = {
-        "defense": cfg.defense.label(),
-        "attack": cfg.attack.label(),
-        "n_clients": cfg.n_clients,
-        "n_byzantine": cfg.n_byzantine,
-        "seed": cfg.seed,
-        "final_accuracy": "",
-        "worst_round_accuracy": "",
-        "status": "ok",
-        "error": "",
-        "output_dir": cfg.output_path,
-    }
+    row = dict.fromkeys(RUNS_COLUMNS, "")
+    row.update(
+        defense=cfg.defense.label(),
+        attack=cfg.attack.label(),
+        n_clients=cfg.n_clients,
+        n_byzantine=cfg.n_byzantine,
+        seed=cfg.seed,
+        status="ok",
+        output_dir=cfg.output_path,
+    )
     try:
-        artifacts = execute_run(cfg)
-        row["final_accuracy"] = repr(artifacts.final_accuracy)
-        row["worst_round_accuracy"] = repr(artifacts.worst_round_accuracy)
+        summary = execute_run(cfg)
+        row["final_accuracy"] = repr(summary.final_accuracy)
+        row["worst_round_accuracy"] = repr(summary.worst_round_accuracy)
     except Exception as err:  # noqa: BLE001 - the sweep must survive bad cells
         row["status"] = "error"
         row["error"] = f"{type(err).__name__}: {err}"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustfed.aggregators import (
+    AGGREGATOR_KINDS,
     CLIP_ITERS,
     CLIP_TAU,
     WEISZFELD_NU,
@@ -164,6 +165,19 @@ def test_nnm_constant_idempotent_and_equivariant():
     base = nnm_mix(GradientSet(vectors.copy()), 2).vectors
     permuted = nnm_mix(GradientSet(vectors[perm]), 2).vectors
     assert np.allclose(base[perm], permuted)
+
+
+@pytest.mark.parametrize("dim", [4, 20_000])  # a gathered mix and a wide, in-place one
+@pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "average"])
+def test_nnm_overflow_names_the_mix_not_a_client(dim, kind):
+    """Every row is finite, but the N - f = 7 entries of 1e308 that each mixed
+    row sums in column 0 overflow; the error is the mix's, not client 0's."""
+    vectors = np.random.default_rng(4).standard_normal((10, dim))
+    vectors[:, 0] = 1e308
+    g = GradientSet(vectors)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="nearest-neighbor mixing overflowed in mixed row 0"):
+            Aggregator(AggregatorSpec(kind, nnm_enabled=True), 10, 3)(g)
 
 
 @settings(max_examples=150, deadline=None)

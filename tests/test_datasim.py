@@ -10,7 +10,18 @@ from robustfed.datasim import (
     generate_blobs,
     partition,
 )
-from robustfed.oracles import ref_nearest_centroid_accuracy
+
+
+def ref_nearest_centroid_accuracy(train, test) -> float:
+    """Centroid classifier accuracy: the independent bound for blob sanity checks."""
+    centroids = np.stack(
+        [train.features[train.labels == c].mean(axis=0) for c in range(train.n_classes)]
+    )
+    predictions = []
+    for x in test.features:
+        dists = [float(np.dot(x - c, x - c)) for c in centroids]
+        predictions.append(int(np.argmin(dists)))
+    return float(np.mean(np.asarray(predictions) == test.labels))
 
 
 def test_dataset_validation():

@@ -17,9 +17,16 @@ from robustfed.engine import (
 )
 from robustfed.geometry import GradientSet
 from robustfed.models import ModelSpec, model_gradient
-from robustfed.oracles import ref_two_step_sgd
 from robustfed.prodigy import DegenerateRoundError, TrustScores
 from robustfed.seeding import stream_generators, stream_id
+
+
+def ref_two_step_sgd(gradient_fn, theta: np.ndarray, batches, gamma: float) -> np.ndarray:
+    """Literal multi-step local update returning the normalized displacement."""
+    current = np.asarray(theta, dtype=float).copy()
+    for batch in batches:
+        current = current - gamma * gradient_fn(current, batch)
+    return (np.asarray(theta, dtype=float) - current) / gamma
 
 
 def small_config(**overrides) -> ExperimentConfig:

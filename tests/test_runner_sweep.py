@@ -57,11 +57,12 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert (out / "trust_scores.jsonl").exists()
 
     with open(out / "metrics.csv") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["round", "gamma", "global_loss", "test_accuracy", "degenerate_flag"]
     assert len(rows) == 12  # one per round
     evaluated = [r for r in rows if r["test_accuracy"] != ""]
     assert len(evaluated) >= math.ceil(12 / cfg.eval_every)
-    assert rows[0].keys() == {"round", "gamma", "global_loss", "test_accuracy", "degenerate_flag"}
 
     with open(out / "timings.csv") as fh:
         reader = csv.DictReader(fh)
@@ -77,7 +78,14 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert len(first["final"]) == 6
 
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) >= {"final_accuracy", "worst_round_accuracy", "wall_time_s", "config"}
+    assert list(summary) == [
+        "final_accuracy",
+        "final_loss",
+        "worst_round_accuracy",
+        "rounds",
+        "wall_time_s",
+        "config",
+    ]
     assert summary["config"]["n_clients"] == 6
 
 
