@@ -240,20 +240,22 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
     check_nnm_counts(n, f)
     indices, sorted_distances = neighbor_order(distances_of(g))
     mixed = np.empty_like(g.vectors)
-    if not wide_set(g):
-        for rows, block in neighborhood_blocks(g, indices, n - f, np.arange(n)):
-            mixed[rows] = block.mean(axis=1)
-    else:
-        source = copy_sources(g, sorted_distances)
-        for k in range(n):
-            row = mixed[k]
-            if source[k] != k:
-                row[:] = mixed[source[k]]
-                continue
-            np.add(g.vectors[k], 0.0, out=row)  # numpy sums from +0.0, so -0.0 turns +0.0
-            for j in indices[k, : n - f - 1].tolist():
-                np.add(row, g.vectors[j], out=row)
-            row /= n - f
+    # an overflowing mix is reported by the ValueError below, not by a warning
+    with np.errstate(over="ignore"):
+        if not wide_set(g):
+            for rows, block in neighborhood_blocks(g, indices, n - f, np.arange(n)):
+                mixed[rows] = block.mean(axis=1)
+        else:
+            source = copy_sources(g, sorted_distances)
+            for k in range(n):
+                row = mixed[k]
+                if source[k] != k:
+                    row[:] = mixed[source[k]]
+                    continue
+                np.add(g.vectors[k], 0.0, out=row)  # numpy sums from +0.0, so -0.0 turns +0.0
+                for j in indices[k, : n - f - 1].tolist():
+                    np.add(row, g.vectors[j], out=row)
+                row /= n - f
     try:
         return GradientSet(mixed)
     except ValueError:  # the set is finite, so its mix overflowed

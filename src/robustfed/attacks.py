@@ -112,6 +112,10 @@ class _CandidateSets:
     its negation square to the same value, and each row reduction runs over
     at least two rows, because a one-row einsum takes a different summation
     path and can change the last bit. Hence the zero row ahead of h - v.
+
+    After the search the winner's matrix is built once more in the same way,
+    when a rule has read distances (``honest_block`` is set), and it is the
+    round set's distances too; no buffer of this object outlives the search.
     """
 
     def __init__(self, honest: np.ndarray, f: int):
@@ -147,9 +151,11 @@ def _grid_search(
     f: int,
     defense: DefenseHandle,
     reference: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Pick the candidate whose mix drags the defense output farthest from the
-    honest mean; ties keep the earlier (smaller) grid value.
+    honest mean; ties keep the earlier (smaller) grid value. Returns the
+    chosen vector and its set's (N, N) distances, or None when the defense
+    read no distances.
 
     Degenerate rounds and non-finite candidate vectors score -inf. A
     non-finite choice, which only happens when every candidate scored -inf,
@@ -172,7 +178,9 @@ def _grid_search(
             best_dev = deviation
     if not np.isfinite(best_vec).all():
         sets(best_vec)  # raises the mixed set's non-finite ValueError
-    return best_vec
+    if sets.honest_block is None:
+        return best_vec, None
+    return best_vec, sets.distances(best_vec)
 
 
 def craft_attack(
@@ -181,11 +189,15 @@ def craft_attack(
     f: int,
     defense: DefenseHandle | None = None,
     byz_local: np.ndarray | None = None,
-) -> np.ndarray:
-    """Produce the (f, d) byzantine rows of one round from the honest rows.
+) -> tuple[np.ndarray, Callable[[], np.ndarray] | None]:
+    """Produce the (f, d) byzantine rows of one round from the honest rows,
+    and the supplier of the round set's distances (see ``GradientSet``).
 
     The defense sees each searched candidate as a round set: f copies of
     the candidate in rows 0..f-1, then the honest rows (see ``GradientSet``).
+    The round set of a searched attack is the winner's, so when the defense
+    read distances during the search the supplier returns the winner's
+    matrix; it is None otherwise, for local attacks and without the search.
     byz_local holds the byzantines' own local updates, one row each: honest
     values for sign_flip (negated here), flipped-label values for label_flip
     (already poisoned upstream), and pass-through values for kind none.
@@ -198,7 +210,7 @@ def craft_attack(
             raise ValueError(f"attack {spec.kind!r} requires the byzantines' local updates")
         if len(byz_local) != f:
             raise ValueError("byz_local must hold exactly one update per byzantine client")
-        return -byz_local if spec.kind == "sign_flip" else byz_local.copy()
+        return (-byz_local if spec.kind == "sign_flip" else byz_local.copy()), None
 
     mean, std = honest_summary(honest)
     if spec.kind == "alie":
@@ -208,10 +220,9 @@ def craft_attack(
         make_vector = lambda ev: -ev * mean
         grid = foe_candidates(spec.eps) if spec.search else [spec.eps]
 
-    if spec.search:
-        if defense is None:
-            raise ValueError("grid search needs a defense handle")
-        vec = _grid_search(grid, make_vector, honest, f, defense, mean)
-    else:
-        vec = make_vector(grid[0])
-    return np.tile(vec, (f, 1))
+    if not spec.search:
+        return np.tile(make_vector(grid[0]), (f, 1)), None
+    if defense is None:
+        raise ValueError("grid search needs a defense handle")
+    vec, distances = _grid_search(grid, make_vector, honest, f, defense, mean)
+    return np.tile(vec, (f, 1)), None if distances is None else lambda: distances

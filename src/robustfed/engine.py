@@ -255,17 +255,20 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         client_ms = (time.perf_counter() - start) * 1e3
 
         attack_ms = 0.0
+        distances = None  # the round set computes its own, unless the search supplies them
         if f:
             start = time.perf_counter()
             check_finite(sent[f:], f)  # name the client, not its row in the honest set
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
             # the byzantines' own updates; no rows under a searched attack
-            sent[:f] = craft_attack(cfg.attack, sent[f:], f, defense, byz_local=updates[n - f :])
+            sent[:f], distances = craft_attack(
+                cfg.attack, sent[f:], f, defense, byz_local=updates[n - f :]
+            )
             if local_attack and beta > 0:  # omniscient attacks send theirs as-is
                 sent[:f] = apply_momentum(momentum[:f], sent[:f], beta)
             attack_ms = (time.perf_counter() - start) * 1e3
 
-        mixed = GradientSet(sent)
+        mixed = GradientSet(sent, distances)
         start = time.perf_counter()
         degenerate = False
         try:

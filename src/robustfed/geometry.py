@@ -60,7 +60,9 @@ class GradientSet:
     distances, which must equal ``pairwise_sq_distances`` of this set bit for
     bit; rules read them through ``distances_of``. The attack search's
     candidate sets supply them, so that rules without distances do not pay
-    for them.
+    for them. A searched round's set supplies them too: it is the chosen
+    candidate's set, whose matrix the search keeps when its rule read
+    distances (``craft_attack``). Every other round set computes its own.
     """
 
     vectors: np.ndarray

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,11 +173,13 @@ def test_nnm_constant_idempotent_and_equivariant():
 @pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "average"])
 def test_nnm_overflow_names_the_mix_not_a_client(dim, kind):
     """Every row is finite, but the N - f = 7 entries of 1e308 that each mixed
-    row sums in column 0 overflow; the error is the mix's, not client 0's."""
+    row sums in column 0 overflow; the error is the mix's, not client 0's,
+    and no overflow warning comes before it."""
     vectors = np.random.default_rng(4).standard_normal((10, dim))
     vectors[:, 0] = 1e308
     g = GradientSet(vectors)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="nearest-neighbor mixing overflowed in mixed row 0"):
             Aggregator(AggregatorSpec(kind, nnm_enabled=True), 10, 3)(g)
 

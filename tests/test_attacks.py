@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustfed.aggregators import average
+from robustfed.aggregators import Aggregator, AggregatorSpec, average
 from robustfed.attacks import (
     ALIE_MIN_Z,
     LOCAL_ATTACK_KINDS,
@@ -13,7 +13,7 @@ from robustfed.attacks import (
     foe_candidates,
     honest_summary,
 )
-from robustfed.geometry import GradientSet
+from robustfed.geometry import GradientSet, pairwise_sq_distances
 from robustfed.prodigy import DegenerateRoundError
 
 
@@ -66,16 +66,19 @@ def _avg_defense(gs: GradientSet) -> np.ndarray:
 def test_sign_flip_negates_local():
     local = np.array([[3.0]])
     honest = np.array([[1.0], [2.0]])
-    crafted = craft_attack(AttackSpec(kind="sign_flip"), honest, 1, _avg_defense, local)
+    spec = AttackSpec(kind="sign_flip")
+    crafted, distances = craft_attack(spec, honest, 1, _avg_defense, local)
     assert crafted.tolist() == [[-3.0]]
+    assert distances is None
 
 
 def test_label_flip_and_none_pass_through():
     local = np.array([[3.0], [4.0]])
     honest = np.array([[1.0], [2.0], [5.0]])
     for kind in ("label_flip", "none"):
-        crafted = craft_attack(AttackSpec(kind=kind), honest, 2, _avg_defense, local)
+        crafted, distances = craft_attack(AttackSpec(kind=kind), honest, 2, _avg_defense, local)
         assert np.array_equal(crafted, local)
+        assert distances is None
 
 
 def test_local_attacks_require_byz_updates():
@@ -88,8 +91,21 @@ def test_local_attacks_require_byz_updates():
 def test_foe_without_search_uses_eps_directly():
     honest = np.array([[1.0], [3.0]])
     spec = AttackSpec(kind="foe", eps=0.1, search=False)
-    crafted = craft_attack(spec, honest, 1, _avg_defense)
+    crafted, distances = craft_attack(spec, honest, 1, _avg_defense)
     assert crafted.tolist() == [[-0.2]]
+    assert distances is None
+
+
+def test_a_search_supplies_distances_only_when_its_defense_read_them():
+    """After a krum search the supplier returns the chosen set's distances;
+    against plain averaging, which reads none, the round set computes its own."""
+    honest = np.random.default_rng(6).standard_normal((6, 4))
+    krum = Aggregator(AggregatorSpec("krum"), 8, 2)
+    spec = AttackSpec(kind="foe")
+    crafted, distances = craft_attack(spec, honest, 2, lambda gs: krum(gs).vector)
+    chosen = GradientSet(np.vstack([crafted, honest]))
+    assert np.array_equal(distances(), pairwise_sq_distances(chosen))
+    assert craft_attack(spec, honest, 2, _avg_defense)[1] is None
 
 
 def test_alie_grid_argmax_against_average():
@@ -97,7 +113,7 @@ def test_alie_grid_argmax_against_average():
     # so the deviation |z*/3| peaks at the largest grid value z* = 2 and the
     # byzantine ends up sending mean - 2*std = 0
     honest = np.array([[1.0], [3.0]])
-    crafted = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
+    crafted, _ = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
     assert crafted.tolist() == [[0.0]]
 
 
@@ -105,7 +121,7 @@ def test_colluders_send_identical_vectors():
     rng = np.random.default_rng(5)
     honest = rng.standard_normal((5, 3))
     for spec in (AttackSpec(kind="alie", z=1.0), AttackSpec(kind="foe", eps=100.0)):
-        crafted = craft_attack(spec, honest, 3, _avg_defense)
+        crafted, _ = craft_attack(spec, honest, 3, _avg_defense)
         assert crafted.shape == (3, 3)
         assert np.array_equal(crafted[0], crafted[1])
         assert np.array_equal(crafted[0], crafted[2])
@@ -128,7 +144,7 @@ def test_degenerate_defense_rounds_score_minus_inf():
             raise DegenerateRoundError(None)
         return average(gs)
 
-    crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
+    crafted, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     # only the non-degenerate grid point (the last, eps* = eps) can be chosen
     assert crafted.tolist() == [[-0.2]]
 
@@ -139,7 +155,7 @@ def test_all_degenerate_still_returns_a_vector():
     def defense(gs: GradientSet) -> np.ndarray:
         raise DegenerateRoundError(None)
 
-    crafted = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
+    crafted, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     assert crafted.shape == (1, 1)
     # falls back to the first grid point
     assert crafted[0, 0] == pytest.approx(-0.02, abs=1e-15)
@@ -151,7 +167,7 @@ def test_search_optimality_exhaustive(seed, kind):
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((6, 3))
     spec = AttackSpec(kind=kind, z=1.0, eps=0.5)
-    crafted = craft_attack(spec, honest, 2, _avg_defense)
+    crafted, _ = craft_attack(spec, honest, 2, _avg_defense)
     mean, std = honest_summary(honest)
 
     def deviation(vec):
@@ -178,7 +194,7 @@ def test_non_finite_candidates_score_minus_inf():
         return average(gs)
 
     with np.errstate(over="ignore"):
-        crafted = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
+        crafted, _ = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
     assert crafted.tolist() == [[-1e308]]
     assert len(calls) == 1
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import robustfed.attacks as attacks
 import robustfed.engine as engine_mod
+import robustfed.geometry as geometry
 from robustfed.aggregators import AggregationResult, Aggregator
 from robustfed.attacks import LOCAL_ATTACK_KINDS
 from robustfed.config import ExperimentConfig, TrainSchedule, config_from_dict, validate_config
@@ -295,7 +297,7 @@ def test_mean_preserving_injection_trajectory():
     cfg = small_config(n_byzantine=2, attack={"kind": "sign_flip"})
 
     def send_honest_mean(spec, honest, f, defense=None, byz_local=None):
-        return np.tile(honest.mean(axis=0), (f, 1))
+        return np.tile(honest.mean(axis=0), (f, 1)), None
 
     original = engine_mod.craft_attack
     engine_mod.craft_attack = send_honest_mean
@@ -442,6 +444,28 @@ def test_one_gradient_set_per_round_outside_the_search(monkeypatch):
     monkeypatch.setattr(GradientSet, "__init__", counting_init)
     run_training(cfg)
     assert len(built) == cfg.schedule.rounds
+
+
+def test_a_searched_round_computes_its_distances_once(monkeypatch):
+    """The final aggregation takes the chosen candidate's distances from the
+    search, so a searched round's one distance sweep is the honest block's."""
+    cfg = small_config(
+        n_byzantine=2,
+        attack={"kind": "alie", "z": 1.0},
+        defense={"kind": "median", "nnm": True},
+        schedule={"rounds": 5, "batch_size": 8},
+    )
+    swept = []
+    original = geometry.pairwise_sq_distances
+
+    def counting(g):
+        swept.append(g.n_clients)
+        return original(g)
+
+    monkeypatch.setattr(geometry, "pairwise_sq_distances", counting)
+    monkeypatch.setattr(attacks, "pairwise_sq_distances", counting)
+    run_training(cfg)
+    assert swept == [cfg.n_clients - cfg.n_byzantine] * cfg.schedule.rounds
 
 
 def test_run_training_determinism():

@@ -705,8 +705,9 @@ def search_candidates(honest: np.ndarray) -> np.ndarray:
 
 def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
     """The same sets and distances per candidate, and the same choice and
-    deviation per candidate for every defense defined at this N and f;
-    returns each defense's deviations."""
+    deviation per candidate for every defense defined at this N and f; the
+    choice's distances are those of a fresh set of it, and are None exactly
+    when the defense read no distances. Returns each defense's deviations."""
     if candidates is None:
         candidates = search_candidates(honest)
     n = len(honest) + f
@@ -725,8 +726,11 @@ def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
         except ValueError:
             continue  # the rule is not defined at this N and f
         deviations = []
+        reads = []
 
-        def defense(gs, aggregator=aggregator, deviations=deviations):
+        def defense(gs, aggregator=aggregator, deviations=deviations, reads=reads):
+            supplied = gs.distances
+            gs.distances = lambda: reads.append(1) or supplied()
             try:
                 agg = aggregator(gs, state).vector
             except DegenerateRoundError:
@@ -736,12 +740,17 @@ def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
             return agg
 
         args = (range(len(candidates)), candidates.__getitem__, honest, f)
-        chosen = _grid_search(*args, defense, reference)
+        chosen, distances = _grid_search(*args, defense, reference)
         expected, expected_devs = loop_grid_search(
             *args, lambda gs, aggregator=aggregator: aggregator(gs, state).vector, reference
         )
         assert np.array_equal(chosen, expected), spec.label()
         assert np.array_equal(np.array(deviations), expected_devs), spec.label()
+        if reads:
+            fresh = pairwise_sq_distances(loop_mixed_set(honest, f, expected))
+            assert same_bits(distances, fresh), spec.label()
+        else:
+            assert distances is None, spec.label()
         found[spec.label()] = expected_devs
     return found
 
@@ -910,7 +919,7 @@ def loop_run_training(cfg):
             honest_rows = np.stack([sent[c[0]] for c in honest_clients])
             defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
             f = len(byz_clients)
-            crafted = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
+            crafted, _ = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
             for i, client in enumerate(byz_clients):
                 v = crafted[i]
                 if local_attack and sched.momentum > 0:
