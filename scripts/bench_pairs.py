@@ -2,12 +2,13 @@
 """Alternating pairs of benchmark runs, a parent tree against a change tree.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
-        --pairs 10 --seconds 20 --seed0 S --out BENCH.json
+        --pairs 10 --seed0 S --out BENCH.json
 
 Pair i runs ``perfbench/run.py --workload W --seed S+i --seconds X --trace T``
-once in each tree, each run in its tree as working directory; the parent goes
-first in even pairs and the change in odd ones. Give each tree its own clean
-checkout (``git archive``), at paths of equal length: wide-aggregation's
+once in each tree, each run in its tree as working directory, where X is
+``run_seconds`` of ``BENCHMARK.json``; the parent goes first in even pairs and
+the change in odd ones. Give each tree its own clean checkout
+(``git archive``), at paths of equal length: wide-aggregation's
 ``peak_rss_mb`` follows the path length. ``--workload`` may be repeated.
 
 The output holds every run's metrics, failed and attempted counts and
@@ -33,10 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
 
-def metric_specs() -> dict:
+def metric_specs(declared: dict) -> dict:
     """Per metric of BENCHMARK.json, its unit, its better direction and, for
     the end-to-end metrics, its bound."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m for m in declared["end_to_end"] + declared["per_layer"]}
 
 
@@ -116,14 +116,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="a perfbench workload; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent_tree, "change": args.change_tree}
-    specs = metric_specs()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs, seconds = metric_specs(declared), declared["run_seconds"]
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["method"] = (
         "scripts/bench_pairs.py: pair i runs perfbench/run.py --seed seed0+i in each "
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         runs = []
         section = sections[key] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed <seed0+i> "
-                       f"--seconds {args.seconds:g} --trace {args.trace}",
+                       f"--seconds {seconds:g} --trace {args.trace}",
             "trees": {s: str(tree) for s, tree in trees.items()},
             "seeds": [args.seed0 + i for i in range(args.pairs)],
             "runs": runs,
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
                 seed = args.seed0 + i
-                result = run_benchmark(trees[side], workload, seed, args.seconds, args.trace)
+                result = run_benchmark(trees[side], workload, seed, seconds, args.trace)
                 if "machine" in result:
                     report["machine"] = {k: v for k, v in result.pop("machine").items()
                                          if k != "commit"}

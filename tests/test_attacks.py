@@ -96,18 +96,6 @@ def test_foe_without_search_uses_eps_directly():
     assert distances is None
 
 
-def test_a_search_supplies_distances_only_when_its_defense_read_them():
-    """After a krum search the supplier returns the chosen set's distances;
-    against plain averaging, which reads none, the round set computes its own."""
-    honest = np.random.default_rng(6).standard_normal((6, 4))
-    krum = Aggregator(AggregatorSpec("krum"), 8, 2)
-    spec = AttackSpec(kind="foe")
-    crafted, distances = craft_attack(spec, honest, 2, lambda gs: krum(gs).vector)
-    chosen = GradientSet(np.vstack([crafted, honest]))
-    assert np.array_equal(distances(), pairwise_sq_distances(chosen))
-    assert craft_attack(spec, honest, 2, _avg_defense)[1] is None
-
-
 def test_alie_grid_argmax_against_average():
     # honest scalars {1, 3}: mean 2, std 1; candidate aggregates are 2 - z*/3,
     # so the deviation |z*/3| peaks at the largest grid value z* = 2 and the
@@ -120,11 +108,16 @@ def test_alie_grid_argmax_against_average():
 def test_colluders_send_identical_vectors():
     rng = np.random.default_rng(5)
     honest = rng.standard_normal((5, 3))
+    krum = Aggregator(AggregatorSpec("krum"), 8, 3)
     for spec in (AttackSpec(kind="alie", z=1.0), AttackSpec(kind="foe", eps=100.0)):
         crafted, _ = craft_attack(spec, honest, 3, _avg_defense)
         assert crafted.shape == (3, 3)
         assert np.array_equal(crafted[0], crafted[1])
         assert np.array_equal(crafted[0], crafted[2])
+        # krum reads distances, so the supplier returns the chosen set's matrix
+        crafted, distances = craft_attack(spec, honest, 3, lambda gs: krum(gs).vector)
+        chosen = GradientSet(np.vstack([crafted, honest]))
+        assert np.array_equal(distances(), pairwise_sq_distances(chosen))
 
 
 def test_search_needs_defense_handle():

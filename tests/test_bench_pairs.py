@@ -11,13 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def pairs(monkeypatch):
     """scripts/bench_pairs.py, with each benchmark run replaced by a canned
     result, so that only the alternation and the summary are under test.
-    Returns the module and the list of (tree name, seed) runs made."""
+    Returns the module and the list of (tree name, seed, seconds) runs made."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     module = importlib.import_module("bench_pairs")
     made = []
 
     def canned(tree, workload, seed, seconds, trace):
-        made.append((tree.name, seed))
+        made.append((tree.name, seed, seconds))
         if tree.name == "broken":
             return {"error": "exit 1: boom"}
         change = tree.name == "change"
@@ -51,11 +51,15 @@ def test_pairs_alternate_and_summarize(pairs, tmp_path):
     module, made = pairs
     status, report = run(module, tmp_path, "parent", "change")
     assert status == 0
-    assert made == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1),
-                    ("parent", 2), ("change", 2), ("change", 3), ("parent", 3),
-                    ("parent", 4), ("change", 4)]
+    assert [(tree, seed) for tree, seed, _ in made] == [
+        ("parent", 0), ("change", 0), ("change", 1), ("parent", 1), ("parent", 2),
+        ("change", 2), ("change", 3), ("parent", 3), ("parent", 4), ("change", 4)]
+    # every run lasts the benchmark's own run length
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert {run_seconds for *_, run_seconds in made} == {seconds}
     assert report["machine"] == {"cpu": "test"}
     section = report["workloads"]["local-grid --seed0 0"]
+    assert f"--seconds {seconds:g} " in section["command"]
     assert section["seeds"] == [0, 1, 2, 3, 4]
     assert len(section["runs"]) == 10
     summary = section["summary"]
