@@ -11,8 +11,10 @@ the change in odd ones. Give each tree its own clean checkout
 (``git archive``), at paths of equal length: wide-aggregation's
 ``peak_rss_mb`` follows the path length. ``--workload`` may be repeated.
 
-The output holds every run's metrics, failed and attempted counts and
-``peak_rss_mb``, and per workload and metric the medians and quartiles
+The output holds every run's metrics, failed and attempted counts,
+``peak_rss_mb`` and minor page faults (the ``ru_minflt`` of the run and its
+children, from ``resource.getrusage(RUSAGE_CHILDREN)`` before and after it),
+and per workload and metric the medians and quartiles
 (``numpy.percentile``, linear) of each side, the pairs the change wins, the
 difference of the medians against the parent's interquartile range, and the
 relative change of the medians. Which way is better is read from
@@ -24,6 +26,7 @@ the sections this call does not write.
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -43,16 +46,20 @@ def metric_specs(declared: dict) -> dict:
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its last stdout line, the
     machine line and the self-check verdict, or the error of a run that
-    printed no result."""
+    printed no result; either way with the run's minor page faults."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=600 + 10 * seconds)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
+        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}",
+                "minor_faults": faults}
+    result["minor_faults"] = faults
     for line in lines:
         if line.startswith("machine: "):
             result["machine"] = json.loads(line[len("machine: "):])
@@ -79,8 +86,13 @@ def summarize(runs: list[dict], specs: dict) -> dict:
                                 for s in SIDES},
         "peak_rss_mb": {s: [r["metrics"]["peak_rss_mb"]["value"] for r in ok
                             if r["side"] == s and "peak_rss_mb" in r["metrics"]] for s in SIDES},
+        "minor_faults": {},
         "metrics": {},
     }
+    for side in SIDES:
+        faults = [r["minor_faults"] for r in ok if r["side"] == side and "minor_faults" in r]
+        if faults:
+            summary["minor_faults"][side] = {"runs": faults, **quartiles(faults)}
     names = [name for name in specs if any(name in metrics for metrics in value.values())]
     for name in names:
         spec = specs[name]

@@ -22,7 +22,7 @@ from .geometry import (
     row_tiles,
     wide_set,
 )
-from .prodigy import TrustScores, check_prodigy_counts, prodigy_aggregate
+from .prodigy import DegenerateRoundError, TrustScores, check_prodigy_counts, prodigy_aggregate
 
 # Smoothing floor ν and iterations T of smoothed Weiszfeld (Pillutla et al.,
 # "Robust Aggregation for Federated Learning", IEEE TSP 2022).
@@ -62,8 +62,12 @@ class AggregatorState:
 
 @dataclass
 class AggregationResult:
+    """The aggregate, prodigy's trust scores, and the NNM mix the rule ran
+    on when the caller asked to keep it (``Aggregator.__call__``)."""
+
     vector: np.ndarray
     trust: TrustScores | None = None
+    mixed: GradientSet | None = None
 
 
 def average(g: GradientSet) -> np.ndarray:
@@ -235,12 +239,15 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
     divided once. A copy group that may share (``copy_sources``) is mixed
     once. That is a Python loop of N-f-1 adds per client, kept to wide sets:
     at N=100, d=10 000 it mixes in under half the time of the gathers.
+
+    A finite set whose mix overflows has no safe aggregate: that raises
+    DegenerateRoundError naming the first overflowing mixed row.
     """
     n = g.n_clients
     check_nnm_counts(n, f)
     indices, sorted_distances = neighbor_order(distances_of(g))
     mixed = np.empty_like(g.vectors)
-    # an overflowing mix is reported by the ValueError below, not by a warning
+    # an overflowing mix is reported by the error below, not by a warning
     with np.errstate(over="ignore"):
         if not wide_set(g):
             for rows, block in neighborhood_blocks(g, indices, n - f, np.arange(n)):
@@ -260,7 +267,9 @@ def nnm_mix(g: GradientSet, f: int) -> GradientSet:
         return GradientSet(mixed)
     except ValueError:  # the set is finite, so its mix overflowed
         bad = int(np.argmin(np.isfinite(mixed).all(axis=1)))
-        raise ValueError(f"nearest-neighbor mixing overflowed in mixed row {bad}") from None
+        raise DegenerateRoundError(
+            None, f"nearest-neighbor mixing overflowed in mixed row {bad}"
+        ) from None
 
 
 # Per kind, the rule applied to the (mixed) set, given f. Each entry looks its
@@ -304,9 +313,32 @@ class Aggregator:
         if spec.nnm_enabled:
             check_nnm_counts(n_clients, n_byzantine)
 
-    def __call__(self, g: GradientSet, state: AggregatorState | None = None) -> AggregationResult:
+    def __call__(
+        self,
+        g: GradientSet,
+        state: AggregatorState | None = None,
+        mixed: GradientSet | None = None,
+        keep_mix: bool = False,
+    ) -> AggregationResult:
+        """Aggregate the round set ``g``.
+
+        An NNM rule runs on ``mixed`` when it is given, which must equal
+        ``nnm_mix(g, f)`` bit for bit, as supplied distances must equal
+        ``g``'s (``GradientSet``); else it mixes ``g``. A searched round's
+        final aggregation takes the chosen candidate's mix from the search
+        that way (``attacks.craft_attack``). ``keep_mix`` returns the mix on
+        the result: the search asks for it and keeps the best candidate's.
+        Any other call drops its mix on return, so a mix outlives its call
+        only where its caller holds it, and nothing is cached on a set a
+        caller passed in.
+        """
         if g.n_clients != self.n_clients:
             raise ValueError(f"expected {self.n_clients} updates, got {g.n_clients}")
-        if self.spec.nnm_enabled:
-            g = nnm_mix(g, self.n_byzantine)
-        return _RULES[self.spec.kind](g, self.n_byzantine, state)
+        if not self.spec.nnm_enabled:
+            return _RULES[self.spec.kind](g, self.n_byzantine, state)
+        if mixed is None:
+            mixed = nnm_mix(g, self.n_byzantine)
+        result = _RULES[self.spec.kind](mixed, self.n_byzantine, state)
+        if keep_mix:
+            result.mixed = mixed
+        return result

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .aggregators import AggregationResult
 from .geometry import GradientSet, pairwise_sq_distances
 from .prodigy import DegenerateRoundError
 
@@ -20,7 +21,9 @@ ATTACK_KINDS = ("none", "alie", "foe", "sign_flip", "label_flip")
 # the kinds whose byzantine updates come from local training, with no search
 LOCAL_ATTACK_KINDS = ("none", "sign_flip", "label_flip")
 
-DefenseHandle = Callable[[GradientSet], np.ndarray]
+# The defense under attack: a round set in, its aggregation out. ``mixed`` is
+# the NNM mix the rule ran on, if any, which the search hands on (``craft_attack``).
+DefenseHandle = Callable[[GradientSet], AggregationResult]
 
 
 @dataclass(frozen=True)
@@ -113,9 +116,11 @@ class _CandidateSets:
     at least two rows, because a one-row einsum takes a different summation
     path and can change the last bit. Hence the zero row ahead of h - v.
 
-    After the search the winner's matrix is built once more in the same way,
-    when a rule has read distances (``honest_block`` is set), and it is the
-    round set's distances too; no buffer of this object outlives the search.
+    After the search the winner's matrix is built once more in the same way
+    when a rule has read distances (``honest_block`` is set) and the search
+    holds no mix of the winner, and it is the round set's distances too; no
+    buffer of this object outlives the search. A mix never lives in this
+    buffer: ``nnm_mix`` writes each candidate's into an array of its own.
     """
 
     def __init__(self, honest: np.ndarray, f: int):
@@ -151,36 +156,50 @@ def _grid_search(
     f: int,
     defense: DefenseHandle,
     reference: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, GradientSet | None]:
     """Pick the candidate whose mix drags the defense output farthest from the
-    honest mean; ties keep the earlier (smaller) grid value. Returns the
-    chosen vector and its set's (N, N) distances, or None when the defense
-    read no distances.
+    honest mean; ties keep the earlier (smaller) grid value.
+
+    Returns the chosen vector and what the final aggregation of its set
+    takes from the search: the NNM mix the defense ran on, a reference to
+    the array ``nnm_mix`` allocated, kept from the best candidate so far;
+    else, when the defense read distances, the set's (N, N) distances; None
+    for each it does not hand on. ``nnm_mix`` is the only reader of an NNM
+    rule's distances, so a supplied mix needs none.
 
     Degenerate rounds and non-finite candidate vectors score -inf. A
     non-finite choice, which only happens when every candidate scored -inf,
     raises the mixed set's non-finite ValueError.
     """
     sets = _CandidateSets(honest, f)
-    best_vec = None
+    best_vec = best_mix = None
     best_dev = -np.inf
     for cand in candidates:
         vec = make_vector(cand)
-        deviation = -np.inf
+        # dropped before the next defense call, so that at most the best
+        # candidate's mix and the current one are alive
+        deviation, mixed = -np.inf, None
         if np.isfinite(vec).all():
-            try:
-                agg = defense(sets(vec))
-                deviation = float(np.linalg.norm(agg - reference))
-            except DegenerateRoundError:
-                pass
+            deviation, mixed = _score(defense, sets(vec), reference)
         if best_vec is None or deviation > best_dev:
-            best_vec = vec
-            best_dev = deviation
+            best_vec, best_dev, best_mix = vec, deviation, mixed
     if not np.isfinite(best_vec).all():
         sets(best_vec)  # raises the mixed set's non-finite ValueError
-    if sets.honest_block is None:
-        return best_vec, None
-    return best_vec, sets.distances(best_vec)
+    if best_mix is not None or sets.honest_block is None:
+        return best_vec, None, best_mix
+    return best_vec, sets.distances(best_vec), None
+
+
+def _score(
+    defense: DefenseHandle, g: GradientSet, reference: np.ndarray
+) -> tuple[float, GradientSet | None]:
+    """The distance of the defense's aggregate of ``g`` from ``reference``
+    (-inf for a degenerate round) and the mix the defense ran on."""
+    try:
+        result = defense(g)
+    except DegenerateRoundError:
+        return -np.inf, None
+    return float(np.linalg.norm(result.vector - reference)), result.mixed
 
 
 def craft_attack(
@@ -189,15 +208,19 @@ def craft_attack(
     f: int,
     defense: DefenseHandle | None = None,
     byz_local: np.ndarray | None = None,
-) -> tuple[np.ndarray, Callable[[], np.ndarray] | None]:
+) -> tuple[np.ndarray, Callable[[], np.ndarray] | None, GradientSet | None]:
     """Produce the (f, d) byzantine rows of one round from the honest rows,
-    and the supplier of the round set's distances (see ``GradientSet``).
+    the supplier of the round set's distances (see ``GradientSet``) and the
+    round set's NNM mix (see ``Aggregator.__call__``).
 
     The defense sees each searched candidate as a round set: f copies of
     the candidate in rows 0..f-1, then the honest rows (see ``GradientSet``).
-    The round set of a searched attack is the winner's, so when the defense
-    read distances during the search the supplier returns the winner's
-    matrix; it is None otherwise, for local attacks and without the search.
+    The round set of a searched attack is the winner's, so the search hands
+    its final aggregation what it already computed on the winner's set: the
+    mix an NNM rule ran on, or else, when the rule read distances, the
+    winner's matrix (``_grid_search``). Each is None otherwise, for local
+    attacks and without the search. Both are arrays the search allocated,
+    held by reference, not copies, and never cached on a caller's set.
     byz_local holds the byzantines' own local updates, one row each: honest
     values for sign_flip (negated here), flipped-label values for label_flip
     (already poisoned upstream), and pass-through values for kind none.
@@ -210,7 +233,7 @@ def craft_attack(
             raise ValueError(f"attack {spec.kind!r} requires the byzantines' local updates")
         if len(byz_local) != f:
             raise ValueError("byz_local must hold exactly one update per byzantine client")
-        return (-byz_local if spec.kind == "sign_flip" else byz_local.copy()), None
+        return (-byz_local if spec.kind == "sign_flip" else byz_local.copy()), None, None
 
     mean, std = honest_summary(honest)
     if spec.kind == "alie":
@@ -221,8 +244,8 @@ def craft_attack(
         grid = foe_candidates(spec.eps) if spec.search else [spec.eps]
 
     if not spec.search:
-        return np.tile(make_vector(grid[0]), (f, 1)), None
+        return np.tile(make_vector(grid[0]), (f, 1)), None, None
     if defense is None:
         raise ValueError("grid search needs a defense handle")
-    vec, distances = _grid_search(grid, make_vector, honest, f, defense, mean)
-    return np.tile(vec, (f, 1)), None if distances is None else lambda: distances
+    vec, distances, mixed = _grid_search(grid, make_vector, honest, f, defense, mean)
+    return np.tile(vec, (f, 1)), None if distances is None else lambda: distances, mixed

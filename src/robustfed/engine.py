@@ -222,9 +222,9 @@ def build_clients(cfg: ExperimentConfig) -> tuple[LocalClients, LabeledDataset]:
 def run_training(cfg: ExperimentConfig) -> TrainResult:
     """Execute the full round loop and return the model plus round records.
 
-    Degenerate aggregation rounds (all clients filtered, or a non-finite
-    aggregate) leave the model unchanged and are flagged in the record rather
-    than falling back to an unprotected rule.
+    Degenerate aggregation rounds (all clients filtered, an overflowing NNM
+    mix, or a non-finite aggregate) leave the model unchanged and are
+    flagged in the record rather than falling back to an unprotected rule.
     """
     validate_config(cfg)
     sched = cfg.schedule
@@ -255,24 +255,25 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         client_ms = (time.perf_counter() - start) * 1e3
 
         attack_ms = 0.0
-        distances = None  # the round set computes its own, unless the search supplies them
+        # the round set computes its own distances and mix, unless the search supplies them
+        distances = mixed = None
         if f:
             start = time.perf_counter()
             check_finite(sent[f:], f)  # name the client, not its row in the honest set
-            defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
+            defense = lambda gs: aggregator(gs, state, keep_mix=True)  # noqa: E731
             # the byzantines' own updates; no rows under a searched attack
-            sent[:f], distances = craft_attack(
+            sent[:f], distances, mixed = craft_attack(
                 cfg.attack, sent[f:], f, defense, byz_local=updates[n - f :]
             )
             if local_attack and beta > 0:  # omniscient attacks send theirs as-is
                 sent[:f] = apply_momentum(momentum[:f], sent[:f], beta)
             attack_ms = (time.perf_counter() - start) * 1e3
 
-        mixed = GradientSet(sent, distances)
+        round_set = GradientSet(sent, distances)
         start = time.perf_counter()
         degenerate = False
         try:
-            result = aggregator(mixed, state)
+            result = aggregator(round_set, state, mixed)
         except DegenerateRoundError as err:
             result = AggregationResult(np.zeros(model.param_dim), err.scores)
             degenerate = True

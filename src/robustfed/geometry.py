@@ -60,9 +60,12 @@ class GradientSet:
     distances, which must equal ``pairwise_sq_distances`` of this set bit for
     bit; rules read them through ``distances_of``. The attack search's
     candidate sets supply them, so that rules without distances do not pay
-    for them. A searched round's set supplies them too: it is the chosen
-    candidate's set, whose matrix the search keeps when its rule read
-    distances (``craft_attack``). Every other round set computes its own.
+    for them. A searched round's set is the chosen candidate's, and the
+    search hands its final aggregation what it computed on that set
+    (``craft_attack``): for an NNM rule the mix, which the aggregator takes
+    beside the set under the same bit-for-bit contract, and the distances
+    otherwise, when the rule read them. Every other round set computes its
+    own. Nothing is cached on a set: a caller's set is never written to.
     """
 
     vectors: np.ndarray

@@ -27,15 +27,19 @@ from .geometry import (
 
 
 class DegenerateRoundError(RuntimeError):
-    """Every trust score reached zero; there is no safe aggregate this round.
-
-    Only possible under composite-score ties at the threshold. Callers must
+    """There is no safe aggregate this round: every trust score reached zero
+    (only possible under composite-score ties at the threshold), or
+    nearest-neighbor mixing overflowed, which has no scores. Callers must
     treat the round as a no-op model update rather than fall back to an
     unprotected rule.
     """
 
-    def __init__(self, scores: "TrustScores"):
-        super().__init__("all clients filtered: trust scores sum to zero")
+    def __init__(
+        self,
+        scores: "TrustScores | None",
+        message: str = "all clients filtered: trust scores sum to zero",
+    ):
+        super().__init__(message)
         self.scores = scores
 
 

@@ -318,16 +318,16 @@ def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
     for attack in (AttackSpec(kind="alie", z=1.0), AttackSpec(kind="foe", eps=100.0)):
         for label, aggregator in _search_defenses(n, f):
             state = AggregatorState()
-            defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
+            defense = lambda gs: aggregator(gs, state)  # noqa: E731
             for _ in range(rounds_per_defense):
                 honest = rng.standard_normal((n - f, d))
-                crafted, _ = craft_attack(attack, honest, f, defense)
+                crafted, _, _ = craft_attack(attack, honest, f, defense)
                 mean, std = honest_summary(honest)
 
                 def deviation(vec):
                     stacked = np.vstack([np.tile(vec, (f, 1)), honest])
                     try:
-                        agg = defense(GradientSet(stacked))
+                        agg = defense(GradientSet(stacked)).vector
                     except DegenerateRoundError:
                         return -np.inf
                     return float(np.linalg.norm(agg - mean))

@@ -31,7 +31,7 @@ from robustfed.oracles import (
     ref_nnm,
     ref_trimmed_mean,
 )
-from robustfed.prodigy import prodigy_aggregate
+from robustfed.prodigy import DegenerateRoundError, prodigy_aggregate
 
 SCALARS = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
 
@@ -173,15 +173,19 @@ def test_nnm_constant_idempotent_and_equivariant():
 @pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "average"])
 def test_nnm_overflow_names_the_mix_not_a_client(dim, kind):
     """Every row is finite, but the N - f = 7 entries of 1e308 that each mixed
-    row sums in column 0 overflow; the error is the mix's, not client 0's,
-    and no overflow warning comes before it."""
+    row sums in column 0 overflow. That is a degenerate round, not a
+    malformed set: the error names the mixed row, not client 0, and no
+    overflow warning comes before it."""
     vectors = np.random.default_rng(4).standard_normal((10, dim))
     vectors[:, 0] = 1e308
     g = GradientSet(vectors)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="nearest-neighbor mixing overflowed in mixed row 0"):
+        with pytest.raises(
+            DegenerateRoundError, match="nearest-neighbor mixing overflowed in mixed row 0"
+        ) as err:
             Aggregator(AggregatorSpec(kind, nnm_enabled=True), 10, 3)(g)
+    assert err.value.scores is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustfed.aggregators import Aggregator, AggregatorSpec, average
+from robustfed.aggregators import AggregationResult, Aggregator, AggregatorSpec, average, nnm_mix
 from robustfed.attacks import (
     ALIE_MIN_Z,
     LOCAL_ATTACK_KINDS,
@@ -59,26 +59,28 @@ def test_foe_grid():
     assert np.allclose(grid, [0.01 * m for m in range(1, 11)])
 
 
-def _avg_defense(gs: GradientSet) -> np.ndarray:
-    return average(gs)
+def _avg_defense(gs: GradientSet) -> AggregationResult:
+    return AggregationResult(average(gs))
 
 
 def test_sign_flip_negates_local():
     local = np.array([[3.0]])
     honest = np.array([[1.0], [2.0]])
     spec = AttackSpec(kind="sign_flip")
-    crafted, distances = craft_attack(spec, honest, 1, _avg_defense, local)
+    crafted, distances, mixed = craft_attack(spec, honest, 1, _avg_defense, local)
     assert crafted.tolist() == [[-3.0]]
-    assert distances is None
+    assert distances is None and mixed is None
 
 
 def test_label_flip_and_none_pass_through():
     local = np.array([[3.0], [4.0]])
     honest = np.array([[1.0], [2.0], [5.0]])
     for kind in ("label_flip", "none"):
-        crafted, distances = craft_attack(AttackSpec(kind=kind), honest, 2, _avg_defense, local)
+        crafted, distances, mixed = craft_attack(
+            AttackSpec(kind=kind), honest, 2, _avg_defense, local
+        )
         assert np.array_equal(crafted, local)
-        assert distances is None
+        assert distances is None and mixed is None
 
 
 def test_local_attacks_require_byz_updates():
@@ -91,9 +93,9 @@ def test_local_attacks_require_byz_updates():
 def test_foe_without_search_uses_eps_directly():
     honest = np.array([[1.0], [3.0]])
     spec = AttackSpec(kind="foe", eps=0.1, search=False)
-    crafted, distances = craft_attack(spec, honest, 1, _avg_defense)
+    crafted, distances, mixed = craft_attack(spec, honest, 1, _avg_defense)
     assert crafted.tolist() == [[-0.2]]
-    assert distances is None
+    assert distances is None and mixed is None
 
 
 def test_alie_grid_argmax_against_average():
@@ -101,7 +103,7 @@ def test_alie_grid_argmax_against_average():
     # so the deviation |z*/3| peaks at the largest grid value z* = 2 and the
     # byzantine ends up sending mean - 2*std = 0
     honest = np.array([[1.0], [3.0]])
-    crafted, _ = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
+    crafted, _, _ = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
     assert crafted.tolist() == [[0.0]]
 
 
@@ -110,14 +112,15 @@ def test_colluders_send_identical_vectors():
     honest = rng.standard_normal((5, 3))
     krum = Aggregator(AggregatorSpec("krum"), 8, 3)
     for spec in (AttackSpec(kind="alie", z=1.0), AttackSpec(kind="foe", eps=100.0)):
-        crafted, _ = craft_attack(spec, honest, 3, _avg_defense)
+        crafted, _, _ = craft_attack(spec, honest, 3, _avg_defense)
         assert crafted.shape == (3, 3)
         assert np.array_equal(crafted[0], crafted[1])
         assert np.array_equal(crafted[0], crafted[2])
         # krum reads distances, so the supplier returns the chosen set's matrix
-        crafted, distances = craft_attack(spec, honest, 3, lambda gs: krum(gs).vector)
+        crafted, distances, mixed = craft_attack(spec, honest, 3, krum)
         chosen = GradientSet(np.vstack([crafted, honest]))
         assert np.array_equal(distances(), pairwise_sq_distances(chosen))
+        assert mixed is None
 
 
 def test_search_needs_defense_handle():
@@ -130,14 +133,14 @@ def test_degenerate_defense_rounds_score_minus_inf():
     honest = np.array([[1.0], [3.0]])
     calls = []
 
-    def defense(gs: GradientSet) -> np.ndarray:
+    def defense(gs: GradientSet) -> AggregationResult:
         calls.append(gs)
         # all grid points degenerate except the last one
         if len(calls) < len(foe_candidates(0.1)):
             raise DegenerateRoundError(None)
-        return average(gs)
+        return _avg_defense(gs)
 
-    crafted, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
+    crafted, _, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     # only the non-degenerate grid point (the last, eps* = eps) can be chosen
     assert crafted.tolist() == [[-0.2]]
 
@@ -145,10 +148,10 @@ def test_degenerate_defense_rounds_score_minus_inf():
 def test_all_degenerate_still_returns_a_vector():
     honest = np.array([[1.0], [3.0]])
 
-    def defense(gs: GradientSet) -> np.ndarray:
+    def defense(gs: GradientSet) -> AggregationResult:
         raise DegenerateRoundError(None)
 
-    crafted, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
+    crafted, _, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     assert crafted.shape == (1, 1)
     # falls back to the first grid point
     assert crafted[0, 0] == pytest.approx(-0.02, abs=1e-15)
@@ -160,12 +163,12 @@ def test_search_optimality_exhaustive(seed, kind):
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((6, 3))
     spec = AttackSpec(kind=kind, z=1.0, eps=0.5)
-    crafted, _ = craft_attack(spec, honest, 2, _avg_defense)
+    crafted, _, _ = craft_attack(spec, honest, 2, _avg_defense)
     mean, std = honest_summary(honest)
 
     def deviation(vec):
         stacked = np.vstack([np.tile(vec, (2, 1)), honest])
-        return float(np.linalg.norm(_avg_defense(GradientSet(stacked)) - mean))
+        return float(np.linalg.norm(average(GradientSet(stacked)) - mean))
 
     grid = (
         [mean - zv * std for zv in alie_candidates(1.0)]
@@ -182,12 +185,12 @@ def test_non_finite_candidates_score_minus_inf():
     honest = np.array([[1e307], [1e307]])
     calls = []
 
-    def defense(gs: GradientSet) -> np.ndarray:
+    def defense(gs: GradientSet) -> AggregationResult:
         calls.append(gs.vectors.copy())
-        return average(gs)
+        return _avg_defense(gs)
 
     with np.errstate(over="ignore"):
-        crafted, _ = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
+        crafted, _, _ = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
     assert crafted.tolist() == [[-1e308]]
     assert len(calls) == 1
 
@@ -200,3 +203,37 @@ def test_non_finite_choice_raises_the_mixed_set_error():
         ValueError, match="non-finite update component from client 0"
     ):
         craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 2, _avg_defense)
+
+
+def test_an_overflowing_mix_scores_minus_inf():
+    """FoE at eps=100 against an honest column 0 of 1e306: from eps* = 60 on,
+    the three byzantine copies that open each byzantine row's mix overflow
+    it. Those candidates are degenerate rounds, scored -inf, and the search
+    goes on to choose among the others."""
+    rng = np.random.default_rng(8)
+    honest = rng.standard_normal((7, 4))
+    honest[:, 0] = 1e306
+    nnm_median = Aggregator(AggregatorSpec("median", nnm_enabled=True), 10, 3)
+    errors = []
+
+    def defense(gs: GradientSet) -> AggregationResult:
+        try:
+            return nnm_median(gs, keep_mix=True)
+        except DegenerateRoundError as err:
+            errors.append(str(err))
+            raise
+
+    crafted, distances, mixed = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 3, defense)
+    assert errors == ["nearest-neighbor mixing overflowed in mixed row 0"] * 5
+    mean = honest.mean(axis=0)
+
+    def deviation(vec):
+        aggregate = nnm_median(GradientSet(np.vstack([vec, honest]))).vector
+        return float(np.linalg.norm(aggregate - mean))
+
+    scored = [np.tile(-ev * mean, (3, 1)) for ev in foe_candidates(100.0)[:5]]
+    best = max(range(5), key=lambda i: (deviation(scored[i]), -i))
+    assert np.array_equal(crafted, scored[best])
+    assert distances is None
+    fresh = GradientSet(np.vstack([crafted, honest]))
+    assert np.array_equal(mixed.vectors, nnm_mix(fresh, 3).vectors)

@@ -1,6 +1,8 @@
 import importlib
 import json
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,7 @@ def pairs(monkeypatch):
             "correct": True,
             "attempted": 10,
             "failed": 1 if change else 0,
+            "minor_faults": 1000 * (seed + 1) + (500 if change else 0),
             "machine": {"cpu": "test", "commit": "abc"},
             "metrics": {
                 "agg_ms_p50": {"value": 10.0 + seed - (2.0 if faster else 0.0), "unit": "ms"},
@@ -66,6 +69,11 @@ def test_pairs_alternate_and_summarize(pairs, tmp_path):
     assert summary["failed"] == {"parent": 0, "change": 5}
     assert summary["attempted"] == {"parent": 50, "change": 50}
     assert summary["peak_rss_mb"] == {"parent": [70.0] * 5, "change": [71.0] * 5}
+    faults = summary["minor_faults"]
+    assert faults["parent"]["runs"] == [1000, 2000, 3000, 4000, 5000]
+    assert (faults["parent"]["median"], faults["parent"]["iqr"]) == (3000.0, 2000.0)
+    assert faults["change"]["runs"] == [1500, 2500, 3500, 4500, 5500]
+    assert faults["change"]["median"] == 3500.0
 
     agg = summary["metrics"]["agg_ms_p50"]
     # parent 10..14; change 8, 9, 10, 11, 14: lower is better, so 4 of 5 pairs won
@@ -97,3 +105,24 @@ def test_other_sections_in_the_file_are_kept(pairs, tmp_path):
     (tmp_path / "bench.json").write_text(json.dumps({"workloads": {"local-grid --seed0 9": 1}}))
     _, report = run(module, tmp_path, "parent", "change", extra=("--trace", "1"))
     assert set(report["workloads"]) == {"local-grid --seed0 9", "local-grid --seed0 0 --trace 1"}
+
+
+def test_a_run_records_its_minor_faults(monkeypatch, tmp_path):
+    """The faults of one run are the growth of the children's ru_minflt
+    across it, whether or not the run printed a result."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    module = importlib.import_module("bench_pairs")
+    counts = iter([100, 350, 350, 400])
+    monkeypatch.setattr(
+        module.resource, "getrusage", lambda who: SimpleNamespace(ru_minflt=next(counts))
+    )
+    outputs = iter(['machine: {"cpu": "test"}\n{"correct": true, "metrics": {}}\n', ""])
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=next(outputs), stderr="boom")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    result = module.run_benchmark(tmp_path, "local-grid", 0, 1.0, 0)
+    assert (result["minor_faults"], result["machine"]) == (250, {"cpu": "test"})
+    assert module.run_benchmark(tmp_path, "local-grid", 0, 1.0, 0) == {
+        "error": "exit 0: boom", "minor_faults": 50}

@@ -1,11 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import robustfed.aggregators as aggregators
 import robustfed.attacks as attacks
 import robustfed.engine as engine_mod
 import robustfed.geometry as geometry
 from robustfed.aggregators import AggregationResult, Aggregator
-from robustfed.attacks import LOCAL_ATTACK_KINDS
+from robustfed.attacks import LOCAL_ATTACK_KINDS, alie_candidates
 from robustfed.config import ExperimentConfig, TrainSchedule, config_from_dict, validate_config
 from robustfed.datasim import LabeledDataset, flip_labels
 from robustfed.engine import (
@@ -297,7 +301,7 @@ def test_mean_preserving_injection_trajectory():
     cfg = small_config(n_byzantine=2, attack={"kind": "sign_flip"})
 
     def send_honest_mean(spec, honest, f, defense=None, byz_local=None):
-        return np.tile(honest.mean(axis=0), (f, 1)), None
+        return np.tile(honest.mean(axis=0), (f, 1)), None, None
 
     original = engine_mod.craft_attack
     engine_mod.craft_attack = send_honest_mean
@@ -335,7 +339,7 @@ def test_degenerate_round_freezes_model_and_flags_record():
 
     original = Aggregator.__call__
 
-    def always_degenerate(self, g, state=None):
+    def always_degenerate(self, g, state=None, mixed=None):
         raise DegenerateRoundError(empty_scores)
 
     Aggregator.__call__ = always_degenerate
@@ -359,11 +363,11 @@ def test_non_finite_aggregate_freezes_model_and_flags_record(monkeypatch):
     rounds = []
 
     def failing_in_round_2(failure):
-        def call(self, g, state=None):
+        def call(self, g, state=None, mixed=None):
             rounds.append(None)
             if len(rounds) % cfg.schedule.rounds == 3:
                 return failure()
-            return original(self, g, state)
+            return original(self, g, state, mixed)
 
         return call
 
@@ -468,6 +472,76 @@ def test_a_searched_round_computes_its_distances_once(monkeypatch):
     assert swept == [cfg.n_clients - cfg.n_byzantine] * cfg.schedule.rounds
 
 
+@pytest.mark.parametrize(
+    "attack, mixes_per_round",
+    [({"kind": "alie", "z": 1.0}, len(alie_candidates(1.0))), ({"kind": "sign_flip"}, 1)],
+    ids=["searched", "local"],
+)
+def test_nnm_mixes_per_round(monkeypatch, attack, mixes_per_round):
+    """A searched round mixes each candidate once, and its final aggregation
+    runs the rule on the chosen candidate's mix from the search, so the
+    round set is never mixed. A local-attack round mixes its round set."""
+    cfg = small_config(
+        n_byzantine=2,
+        attack=attack,
+        defense={"kind": "median", "nnm": True},
+        schedule={"rounds": 5, "batch_size": 8},
+    )
+    mixed = []
+    original = aggregators.nnm_mix
+
+    def counting(g, f):
+        mixed.append(g.n_clients)
+        return original(g, f)
+
+    monkeypatch.setattr(aggregators, "nnm_mix", counting)
+    run_training(cfg)
+    assert mixed == [cfg.n_clients] * mixes_per_round * cfg.schedule.rounds
+
+
+def test_an_overflowing_final_mix_is_a_degenerate_round(monkeypatch):
+    """Finite updates of 1e308 in column 0 in round 2 overflow every NNM
+    mixed row under a local attack: the round is flagged degenerate and
+    leaves theta as a degenerate round does, and the run goes on."""
+    cfg = small_config(
+        n_byzantine=2,
+        attack={"kind": "none"},
+        defense={"kind": "median", "nnm": True},
+        schedule={"rounds": 6, "batch_size": 8},
+    )
+    original_update = engine_mod.client_update
+
+    def huge_in_round_2(spec, theta, clients, sched, round_idx, rngs):
+        updates = original_update(spec, theta, clients, sched, round_idx, rngs)
+        if round_idx == 2:
+            updates[:, 0] = 1e308
+        return updates
+
+    monkeypatch.setattr(engine_mod, "client_update", huge_in_round_2)
+    overflowed = run_training(cfg)
+    monkeypatch.undo()
+
+    original_call = Aggregator.__call__
+    calls = []
+
+    def degenerate_in_round_2(self, g, state=None, mixed=None):
+        calls.append(None)
+        if len(calls) == 3:
+            raise DegenerateRoundError(None)
+        return original_call(self, g, state, mixed)
+
+    monkeypatch.setattr(Aggregator, "__call__", degenerate_in_round_2)
+    skipped = run_training(cfg)
+
+    flags = [rec.degenerate for rec in overflowed.records]
+    assert flags == [False, False, True, False, False, False]
+    assert overflowed.records[2].trust is None
+    assert np.array_equal(overflowed.theta, skipped.theta)
+    assert [rec.test_accuracy for rec in overflowed.records] == [
+        rec.test_accuracy for rec in skipped.records
+    ]
+
+
 def test_run_training_determinism():
     cfg_a = small_config(n_byzantine=2, attack={"kind": "alie", "z": 1.0}, defense={"kind": "prodigy"})
     cfg_b = small_config(n_byzantine=2, attack={"kind": "alie", "z": 1.0}, defense={"kind": "prodigy"})
@@ -484,18 +558,74 @@ def test_validate_config_is_idempotent_for_programmatic_use():
     assert cfg.data.min_shard == before
 
 
+SRC = Path(geometry.__file__).parent
+ATTACKS = "robustfed.attacks"
+
+
+def constant_str(node: ast.expr) -> str | None:
+    """The value of a string expression built from literals alone (a
+    literal, ``+`` of such, or an f-string without fields), else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left, right = constant_str(node.left), constant_str(node.right)
+        return None if left is None or right is None else left + right
+    if isinstance(node, ast.JoinedStr):
+        parts = [constant_str(value) for value in node.values]
+        return None if None in parts else "".join(parts)
+    return None
+
+
+def imported_names(module: str) -> set[str]:
+    """Every name that ``robustfed.<module>``'s source imports, as dotted
+    paths: ``import a.b``, ``from a import b`` (``a`` and ``a.b``, with
+    relative imports resolved against robustfed), and the name passed to
+    ``importlib.import_module`` or ``__import__``, which must be built from
+    literals alone."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "robustfed" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "import_module"
+            or getattr(node.func, "id", None) in ("import_module", "__import__")
+        ):
+            name = constant_str(node.args[0]) if node.args else None
+            assert name is not None, f"robustfed.{module} imports a name no literal gives"
+            names.add("robustfed" + name if name.startswith(".") else name)
+    return names
+
+
 def test_client_path_never_imports_attack_logic():
-    """Honest clients read only their own shard; byzantine synthesis is reachable
-    solely through the attack module, so the client-side modules must not touch it."""
-    from pathlib import Path
-
-    import robustfed.datasim as datasim
-    import robustfed.geometry as geometry
-    import robustfed.models as models
-
-    for mod in (datasim, geometry, models):
-        source = Path(mod.__file__).read_text()
-        assert "attacks" not in source, f"{mod.__name__} reaches into attack logic"
+    """Honest clients read only their own shard; byzantine synthesis is
+    reachable solely through the attack module, so neither the client-side
+    modules nor the robustfed modules they import may import it, by an
+    import statement or by a name given to ``importlib``. A docstring or
+    comment may still name it."""
+    seen = set()
+    pending = ["datasim", "geometry", "models"]
+    while pending:
+        module = pending.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        names = imported_names(module)
+        assert ATTACKS not in names, f"robustfed.{module} imports the attack logic"
+        pending += [
+            name.split(".")[1]
+            for name in names
+            if name.count(".") == 1
+            and name.startswith("robustfed.")
+            and (SRC / f"{name.split('.')[1]}.py").exists()
+        ]
+    assert "seeding" in seen  # the walk follows the modules they import
 
 
 def test_trust_recorded_only_for_prodigy():

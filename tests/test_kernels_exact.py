@@ -672,7 +672,8 @@ def loop_mixed_set(honest: np.ndarray, f, byz_vector) -> GradientSet:
 
 def loop_grid_search(candidates, make_vector, honest, f, defense, reference):
     """One fresh mixed set per candidate, so every rule computes its own
-    distances; returns the choice and every candidate's deviation."""
+    distances and mix; returns the choice, every candidate's deviation and
+    the choice's."""
     best_vec = None
     best_dev = -np.inf
     deviations = []
@@ -687,7 +688,7 @@ def loop_grid_search(candidates, make_vector, honest, f, defense, reference):
         if best_vec is None or deviation > best_dev:
             best_vec = vec
             best_dev = deviation
-    return best_vec, np.array(deviations)
+    return best_vec, np.array(deviations), best_dev
 
 
 SEARCH_DEFENSES = [
@@ -705,9 +706,12 @@ def search_candidates(honest: np.ndarray) -> np.ndarray:
 
 def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
     """The same sets and distances per candidate, and the same choice and
-    deviation per candidate for every defense defined at this N and f; the
-    choice's distances are those of a fresh set of it, and are None exactly
-    when the defense read no distances. Returns each defense's deviations."""
+    deviation per candidate for every defense defined at this N and f. The
+    search hands on the choice's mix, that of a fresh set of it, exactly
+    when the defense mixed it (an NNM rule whose round on it was not
+    degenerate); else the choice's distances, those of a fresh set of it,
+    exactly when the defense read distances. Returns each defense's
+    deviations."""
     if candidates is None:
         candidates = search_candidates(honest)
     n = len(honest) + f
@@ -732,25 +736,30 @@ def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
             supplied = gs.distances
             gs.distances = lambda: reads.append(1) or supplied()
             try:
-                agg = aggregator(gs, state).vector
+                result = aggregator(gs, state, keep_mix=True)
             except DegenerateRoundError:
                 deviations.append(-np.inf)
                 raise
-            deviations.append(float(np.linalg.norm(agg - reference)))
-            return agg
+            deviations.append(float(np.linalg.norm(result.vector - reference)))
+            return result
 
         args = (range(len(candidates)), candidates.__getitem__, honest, f)
-        chosen, distances = _grid_search(*args, defense, reference)
-        expected, expected_devs = loop_grid_search(
+        chosen, distances, mixed = _grid_search(*args, defense, reference)
+        expected, expected_devs, expected_dev = loop_grid_search(
             *args, lambda gs, aggregator=aggregator: aggregator(gs, state).vector, reference
         )
         assert np.array_equal(chosen, expected), spec.label()
         assert np.array_equal(np.array(deviations), expected_devs), spec.label()
-        if reads:
-            fresh = pairwise_sq_distances(loop_mixed_set(honest, f, expected))
-            assert same_bits(distances, fresh), spec.label()
-        else:
+        fresh = loop_mixed_set(honest, f, expected)
+        if spec.nnm_enabled and expected_dev > -np.inf:
+            assert same_bits(mixed.vectors, nnm_mix(fresh, f).vectors), spec.label()
             assert distances is None, spec.label()
+        else:
+            assert mixed is None, spec.label()
+            if reads:
+                assert same_bits(distances, pairwise_sq_distances(fresh)), spec.label()
+            else:
+                assert distances is None, spec.label()
         found[spec.label()] = expected_devs
     return found
 
@@ -917,9 +926,9 @@ def loop_run_training(cfg):
                     [loop_client_update(model, theta, c, sched, t) for c in byz_clients]
                 )
             honest_rows = np.stack([sent[c[0]] for c in honest_clients])
-            defense = lambda gs: aggregator(gs, state).vector  # noqa: E731
+            defense = lambda gs: aggregator(gs, state)  # noqa: E731
             f = len(byz_clients)
-            crafted, _ = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
+            crafted, _, _ = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
             for i, client in enumerate(byz_clients):
                 v = crafted[i]
                 if local_attack and sched.momentum > 0:
