@@ -9,7 +9,9 @@ once in each tree, each run in its tree as working directory, where X is
 ``run_seconds`` of ``BENCHMARK.json``; the parent goes first in even pairs and
 the change in odd ones. Give each tree its own clean checkout
 (``git archive``), at paths of equal length: wide-aggregation's
-``peak_rss_mb`` follows the path length. ``--workload`` may be repeated.
+``peak_rss_mb`` follows the path length, so trees whose resolved paths
+differ in length are refused (exit 2) before any run. ``--workload`` may be
+repeated.
 
 The output holds every run's metrics, failed and attempted counts,
 ``peak_rss_mb`` and minor page faults (the ``ru_minflt`` of the run and its
@@ -134,6 +136,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent_tree, "change": args.change_tree}
+    lengths = {side: len(str(tree.resolve())) for side, tree in trees.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(f"bench_pairs: the trees' resolved paths differ in length (parent "
+              f"{lengths['parent']}, change {lengths['change']}); wide-aggregation's "
+              "peak_rss_mb follows the path length", file=sys.stderr)
+        return 2
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs, seconds = metric_specs(declared), declared["run_seconds"]
     report = json.loads(args.out.read_text()) if args.out.exists() else {}

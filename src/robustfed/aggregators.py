@@ -62,12 +62,12 @@ class AggregatorState:
 
 @dataclass
 class AggregationResult:
-    """The aggregate, prodigy's trust scores, and the NNM mix the rule ran
-    on when the caller asked to keep it (``Aggregator.__call__``)."""
+    """The aggregate, prodigy's trust scores, and the set the rule ran on
+    when the caller asked to keep it (``Aggregator.__call__``)."""
 
     vector: np.ndarray
     trust: TrustScores | None = None
-    mixed: GradientSet | None = None
+    ran_on: GradientSet | None = None
 
 
 def average(g: GradientSet) -> np.ndarray:
@@ -317,28 +317,33 @@ class Aggregator:
         self,
         g: GradientSet,
         state: AggregatorState | None = None,
-        mixed: GradientSet | None = None,
-        keep_mix: bool = False,
+        ran_on: GradientSet | None = None,
+        keep: bool = False,
     ) -> AggregationResult:
         """Aggregate the round set ``g``.
 
-        An NNM rule runs on ``mixed`` when it is given, which must equal
-        ``nnm_mix(g, f)`` bit for bit, as supplied distances must equal
-        ``g``'s (``GradientSet``); else it mixes ``g``. A searched round's
-        final aggregation takes the chosen candidate's mix from the search
-        that way (``attacks.craft_attack``). ``keep_mix`` returns the mix on
-        the result: the search asks for it and keeps the best candidate's.
-        Any other call drops its mix on return, so a mix outlives its call
-        only where its caller holds it, and nothing is cached on a set a
-        caller passed in.
+        The rule runs on ``ran_on`` when it is given, which must equal bit
+        for bit, distances included, the set it would run on otherwise:
+        ``nnm_mix(g, f)`` for an NNM rule, else ``g``. ``keep`` returns that
+        set on the result. The attack search asks for it and keeps the best
+        candidate's, and a searched round's final aggregation takes the
+        winner's as ``ran_on`` (``attacks.craft_attack``), so that the mix,
+        or the distances a rule read, are computed once per winner. Any other
+        call drops the set on return, so a mix outlives its call only where
+        its caller holds it, and nothing is cached on a set a caller passed
+        in.
+
+        A non-finite aggregate raises DegenerateRoundError with the rule's
+        trust scores: it has no safe update, as a round whose scores all
+        reached zero has none.
         """
         if g.n_clients != self.n_clients:
             raise ValueError(f"expected {self.n_clients} updates, got {g.n_clients}")
-        if not self.spec.nnm_enabled:
-            return _RULES[self.spec.kind](g, self.n_byzantine, state)
-        if mixed is None:
-            mixed = nnm_mix(g, self.n_byzantine)
-        result = _RULES[self.spec.kind](mixed, self.n_byzantine, state)
-        if keep_mix:
-            result.mixed = mixed
+        if ran_on is None:
+            ran_on = nnm_mix(g, self.n_byzantine) if self.spec.nnm_enabled else g
+        result = _RULES[self.spec.kind](ran_on, self.n_byzantine, state)
+        if not np.isfinite(result.vector).all():
+            raise DegenerateRoundError(result.trust, "non-finite aggregate")
+        if keep:
+            result.ran_on = ran_on
         return result

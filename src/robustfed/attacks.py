@@ -9,6 +9,7 @@ attack magnitude, or per-client local attacks (sign flip, label flip).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -21,8 +22,8 @@ ATTACK_KINDS = ("none", "alie", "foe", "sign_flip", "label_flip")
 # the kinds whose byzantine updates come from local training, with no search
 LOCAL_ATTACK_KINDS = ("none", "sign_flip", "label_flip")
 
-# The defense under attack: a round set in, its aggregation out. ``mixed`` is
-# the NNM mix the rule ran on, if any, which the search hands on (``craft_attack``).
+# The defense under attack: a round set in, its aggregation out, with the set
+# the rule ran on kept (``Aggregator.__call__``), which the search hands on.
 DefenseHandle = Callable[[GradientSet], AggregationResult]
 
 
@@ -108,19 +109,19 @@ class _CandidateSets:
     are placed once and each candidate overwrites the byzantine rows. A set
     is valid until the next candidate is built.
 
-    Distances are built only when a rule asks for them: the honest-honest
-    block once per round, then per candidate zeros between the byzantine rows
-    and one reduction over the honest rows of h - v. Every entry equals the
-    one ``pairwise_sq_distances`` computes on the same set: a difference and
-    its negation square to the same value, and each row reduction runs over
-    at least two rows, because a one-row einsum takes a different summation
+    Distances are built only when a rule asks for them, at most once per
+    candidate (the supplier is cached): the honest-honest block once per
+    round, then per candidate zeros between the byzantine rows and one
+    reduction over the honest rows of h - v. Every entry equals the one
+    ``pairwise_sq_distances`` computes on the same set: a difference and its
+    negation square to the same value, and each row reduction runs over at
+    least two rows, because a one-row einsum takes a different summation
     path and can change the last bit. Hence the zero row ahead of h - v.
 
-    After the search the winner's matrix is built once more in the same way
-    when a rule has read distances (``honest_block`` is set) and the search
-    holds no mix of the winner, and it is the round set's distances too; no
-    buffer of this object outlives the search. A mix never lives in this
-    buffer: ``nnm_mix`` writes each candidate's into an array of its own.
+    The buffer outlives the search until the round's final aggregation:
+    ``_grid_search`` writes the winner's rows back into it, so that the
+    winner's set, which the search hands on (``Aggregator.__call__``), holds
+    them again, with the matrix its rule read.
     """
 
     def __init__(self, honest: np.ndarray, f: int):
@@ -133,7 +134,7 @@ class _CandidateSets:
 
     def __call__(self, byz_vector: np.ndarray) -> GradientSet:
         self.vectors[: self.f] = byz_vector
-        return GradientSet(self.vectors, lambda: self.distances(byz_vector))
+        return GradientSet(self.vectors, cache(lambda: self.distances(byz_vector)))
 
     def distances(self, byz_vector: np.ndarray) -> np.ndarray:
         f = self.f
@@ -156,50 +157,47 @@ def _grid_search(
     f: int,
     defense: DefenseHandle,
     reference: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None, GradientSet | None]:
+) -> tuple[np.ndarray, GradientSet | None]:
     """Pick the candidate whose mix drags the defense output farthest from the
     honest mean; ties keep the earlier (smaller) grid value.
 
-    Returns the chosen vector and what the final aggregation of its set
-    takes from the search: the NNM mix the defense ran on, a reference to
-    the array ``nnm_mix`` allocated, kept from the best candidate so far;
-    else, when the defense read distances, the set's (N, N) distances; None
-    for each it does not hand on. ``nnm_mix`` is the only reader of an NNM
-    rule's distances, so a supplied mix needs none.
+    Returns the chosen vector and the set the defense ran on for it
+    (``Aggregator.__call__``), kept by reference from the best candidate so
+    far; None when every candidate was degenerate.
 
     Degenerate rounds and non-finite candidate vectors score -inf. A
     non-finite choice, which only happens when every candidate scored -inf,
     raises the mixed set's non-finite ValueError.
     """
     sets = _CandidateSets(honest, f)
-    best_vec = best_mix = None
+    best_vec = best_set = None
     best_dev = -np.inf
     for cand in candidates:
         vec = make_vector(cand)
         # dropped before the next defense call, so that at most the best
-        # candidate's mix and the current one are alive
-        deviation, mixed = -np.inf, None
+        # candidate's set and the current one are alive
+        deviation, ran_on = -np.inf, None
         if np.isfinite(vec).all():
-            deviation, mixed = _score(defense, sets(vec), reference)
+            deviation, ran_on = _score(defense, sets(vec), reference)
         if best_vec is None or deviation > best_dev:
-            best_vec, best_dev, best_mix = vec, deviation, mixed
+            best_vec, best_dev, best_set = vec, deviation, ran_on
     if not np.isfinite(best_vec).all():
         sets(best_vec)  # raises the mixed set's non-finite ValueError
-    if best_mix is not None or sets.honest_block is None:
-        return best_vec, None, best_mix
-    return best_vec, sets.distances(best_vec), None
+    sets.vectors[:f] = best_vec  # a kept candidate set shares this buffer
+    return best_vec, best_set
 
 
 def _score(
     defense: DefenseHandle, g: GradientSet, reference: np.ndarray
 ) -> tuple[float, GradientSet | None]:
     """The distance of the defense's aggregate of ``g`` from ``reference``
-    (-inf for a degenerate round) and the mix the defense ran on."""
+    (-inf for a degenerate round) and the set the rule ran on
+    (``Aggregator.__call__``)."""
     try:
         result = defense(g)
     except DegenerateRoundError:
         return -np.inf, None
-    return float(np.linalg.norm(result.vector - reference)), result.mixed
+    return float(np.linalg.norm(result.vector - reference)), result.ran_on
 
 
 def craft_attack(
@@ -208,19 +206,16 @@ def craft_attack(
     f: int,
     defense: DefenseHandle | None = None,
     byz_local: np.ndarray | None = None,
-) -> tuple[np.ndarray, Callable[[], np.ndarray] | None, GradientSet | None]:
+) -> tuple[np.ndarray, GradientSet | None]:
     """Produce the (f, d) byzantine rows of one round from the honest rows,
-    the supplier of the round set's distances (see ``GradientSet``) and the
-    round set's NNM mix (see ``Aggregator.__call__``).
+    and the set the defense ran on for them, which the round's final
+    aggregation takes (``Aggregator.__call__``).
 
     The defense sees each searched candidate as a round set: f copies of
     the candidate in rows 0..f-1, then the honest rows (see ``GradientSet``).
     The round set of a searched attack is the winner's, so the search hands
-    its final aggregation what it already computed on the winner's set: the
-    mix an NNM rule ran on, or else, when the rule read distances, the
-    winner's matrix (``_grid_search``). Each is None otherwise, for local
-    attacks and without the search. Both are arrays the search allocated,
-    held by reference, not copies, and never cached on a caller's set.
+    on the set its rule ran on (``_grid_search``). It is None for local
+    attacks, without the search, and when every candidate was degenerate.
     byz_local holds the byzantines' own local updates, one row each: honest
     values for sign_flip (negated here), flipped-label values for label_flip
     (already poisoned upstream), and pass-through values for kind none.
@@ -233,7 +228,7 @@ def craft_attack(
             raise ValueError(f"attack {spec.kind!r} requires the byzantines' local updates")
         if len(byz_local) != f:
             raise ValueError("byz_local must hold exactly one update per byzantine client")
-        return (-byz_local if spec.kind == "sign_flip" else byz_local.copy()), None, None
+        return (-byz_local if spec.kind == "sign_flip" else byz_local.copy()), None
 
     mean, std = honest_summary(honest)
     if spec.kind == "alie":
@@ -244,8 +239,8 @@ def craft_attack(
         grid = foe_candidates(spec.eps) if spec.search else [spec.eps]
 
     if not spec.search:
-        return np.tile(make_vector(grid[0]), (f, 1)), None, None
+        return np.tile(make_vector(grid[0]), (f, 1)), None
     if defense is None:
         raise ValueError("grid search needs a defense handle")
-    vec, distances, mixed = _grid_search(grid, make_vector, honest, f, defense, mean)
-    return np.tile(vec, (f, 1)), None if distances is None else lambda: distances, mixed
+    vec, ran_on = _grid_search(grid, make_vector, honest, f, defense, mean)
+    return np.tile(vec, (f, 1)), ran_on

@@ -255,31 +255,28 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         client_ms = (time.perf_counter() - start) * 1e3
 
         attack_ms = 0.0
-        # the round set computes its own distances and mix, unless the search supplies them
-        distances = mixed = None
+        ran_on = None
         if f:
             start = time.perf_counter()
             check_finite(sent[f:], f)  # name the client, not its row in the honest set
-            defense = lambda gs: aggregator(gs, state, keep_mix=True)  # noqa: E731
+            defense = lambda gs: aggregator(gs, state, keep=True)  # noqa: E731
             # the byzantines' own updates; no rows under a searched attack
-            sent[:f], distances, mixed = craft_attack(
+            sent[:f], ran_on = craft_attack(
                 cfg.attack, sent[f:], f, defense, byz_local=updates[n - f :]
             )
             if local_attack and beta > 0:  # omniscient attacks send theirs as-is
                 sent[:f] = apply_momentum(momentum[:f], sent[:f], beta)
             attack_ms = (time.perf_counter() - start) * 1e3
 
-        round_set = GradientSet(sent, distances)
+        round_set = GradientSet(sent)
         start = time.perf_counter()
         degenerate = False
         try:
-            result = aggregator(round_set, state, mixed)
+            result = aggregator(round_set, state, ran_on)
         except DegenerateRoundError as err:
             result = AggregationResult(np.zeros(model.param_dim), err.scores)
             degenerate = True
         wall_ms = (time.perf_counter() - start) * 1e3
-        # a non-finite aggregate would poison theta and end the run a round later
-        degenerate = degenerate or not np.isfinite(result.vector).all()
 
         if not degenerate:
             theta = theta - gamma * result.vector

@@ -59,13 +59,9 @@ class GradientSet:
     ``distances`` optionally supplies the set's (N, N) pairwise squared
     distances, which must equal ``pairwise_sq_distances`` of this set bit for
     bit; rules read them through ``distances_of``. The attack search's
-    candidate sets supply them, so that rules without distances do not pay
-    for them. A searched round's set is the chosen candidate's, and the
-    search hands its final aggregation what it computed on that set
-    (``craft_attack``): for an NNM rule the mix, which the aggregator takes
-    beside the set under the same bit-for-bit contract, and the distances
-    otherwise, when the rule read them. Every other round set computes its
-    own. Nothing is cached on a set: a caller's set is never written to.
+    candidate sets supply them (``attacks._CandidateSets``), so that rules
+    without distances do not pay for them; what the search hands on is
+    stated in ``Aggregator.__call__``.
     """
 
     vectors: np.ndarray

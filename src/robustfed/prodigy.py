@@ -28,9 +28,10 @@ from .geometry import (
 
 class DegenerateRoundError(RuntimeError):
     """There is no safe aggregate this round: every trust score reached zero
-    (only possible under composite-score ties at the threshold), or
-    nearest-neighbor mixing overflowed, which has no scores. Callers must
-    treat the round as a no-op model update rather than fall back to an
+    (only possible under composite-score ties at the threshold),
+    nearest-neighbor mixing overflowed, which has no scores, or the rule's
+    aggregate is non-finite (``Aggregator.__call__``). Callers must treat
+    the round as a no-op model update rather than fall back to an
     unprotected rule.
     """
 

@@ -321,7 +321,7 @@ def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
             defense = lambda gs: aggregator(gs, state)  # noqa: E731
             for _ in range(rounds_per_defense):
                 honest = rng.standard_normal((n - f, d))
-                crafted, _, _ = craft_attack(attack, honest, f, defense)
+                crafted, _ = craft_attack(attack, honest, f, defense)
                 mean, std = honest_summary(honest)
 
                 def deviation(vec):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfed import aggregators
 from robustfed.aggregators import (
     AGGREGATOR_KINDS,
     CLIP_ITERS,
@@ -348,3 +349,21 @@ def test_cclip_warm_start_uses_state():
     assert first.tolist() == [30.0]
     resumed = agg(g, AggregatorState(prev_aggregate=np.array([30.0]))).vector
     assert resumed.tolist() == [30.0]
+
+
+def test_a_non_finite_aggregate_is_a_degenerate_round(monkeypatch):
+    """The error carries the rule's trust scores, as a round whose scores all
+    reached zero does."""
+    g = GradientSet(np.random.default_rng(4).standard_normal((10, 5)))
+    expected = prodigy_aggregate(g, 3)[1]
+
+    def nan_vector(g, f):
+        vector, trust = prodigy_aggregate(g, f)
+        vector[2] = np.nan
+        return vector, trust
+
+    monkeypatch.setattr(aggregators, "prodigy_aggregate", nan_vector)
+    with pytest.raises(DegenerateRoundError, match="^non-finite aggregate$") as err:
+        Aggregator(AggregatorSpec("prodigy"), 10, 3)(g)
+    assert np.array_equal(err.value.scores.final, expected.final)
+    assert np.array_equal(err.value.scores.composite, expected.composite)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfed import aggregators
 from robustfed.aggregators import AggregationResult, Aggregator, AggregatorSpec, average, nnm_mix
 from robustfed.attacks import (
     ALIE_MIN_Z,
@@ -67,20 +68,20 @@ def test_sign_flip_negates_local():
     local = np.array([[3.0]])
     honest = np.array([[1.0], [2.0]])
     spec = AttackSpec(kind="sign_flip")
-    crafted, distances, mixed = craft_attack(spec, honest, 1, _avg_defense, local)
+    crafted, ran_on = craft_attack(spec, honest, 1, _avg_defense, local)
     assert crafted.tolist() == [[-3.0]]
-    assert distances is None and mixed is None
+    assert ran_on is None
 
 
 def test_label_flip_and_none_pass_through():
     local = np.array([[3.0], [4.0]])
     honest = np.array([[1.0], [2.0], [5.0]])
     for kind in ("label_flip", "none"):
-        crafted, distances, mixed = craft_attack(
+        crafted, ran_on = craft_attack(
             AttackSpec(kind=kind), honest, 2, _avg_defense, local
         )
         assert np.array_equal(crafted, local)
-        assert distances is None and mixed is None
+        assert ran_on is None
 
 
 def test_local_attacks_require_byz_updates():
@@ -93,9 +94,9 @@ def test_local_attacks_require_byz_updates():
 def test_foe_without_search_uses_eps_directly():
     honest = np.array([[1.0], [3.0]])
     spec = AttackSpec(kind="foe", eps=0.1, search=False)
-    crafted, distances, mixed = craft_attack(spec, honest, 1, _avg_defense)
+    crafted, ran_on = craft_attack(spec, honest, 1, _avg_defense)
     assert crafted.tolist() == [[-0.2]]
-    assert distances is None and mixed is None
+    assert ran_on is None
 
 
 def test_alie_grid_argmax_against_average():
@@ -103,7 +104,7 @@ def test_alie_grid_argmax_against_average():
     # so the deviation |z*/3| peaks at the largest grid value z* = 2 and the
     # byzantine ends up sending mean - 2*std = 0
     honest = np.array([[1.0], [3.0]])
-    crafted, _, _ = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
+    crafted, _ = craft_attack(AttackSpec(kind="alie", z=2.0), honest, 1, _avg_defense)
     assert crafted.tolist() == [[0.0]]
 
 
@@ -112,15 +113,15 @@ def test_colluders_send_identical_vectors():
     honest = rng.standard_normal((5, 3))
     krum = Aggregator(AggregatorSpec("krum"), 8, 3)
     for spec in (AttackSpec(kind="alie", z=1.0), AttackSpec(kind="foe", eps=100.0)):
-        crafted, _, _ = craft_attack(spec, honest, 3, _avg_defense)
+        crafted, _ = craft_attack(spec, honest, 3, _avg_defense)
         assert crafted.shape == (3, 3)
         assert np.array_equal(crafted[0], crafted[1])
         assert np.array_equal(crafted[0], crafted[2])
-        # krum reads distances, so the supplier returns the chosen set's matrix
-        crafted, distances, mixed = craft_attack(spec, honest, 3, krum)
+        # krum runs on the chosen set itself, whose supplier returns its matrix
+        crafted, ran_on = craft_attack(spec, honest, 3, lambda gs: krum(gs, keep=True))
         chosen = GradientSet(np.vstack([crafted, honest]))
-        assert np.array_equal(distances(), pairwise_sq_distances(chosen))
-        assert mixed is None
+        assert np.array_equal(ran_on.vectors, chosen.vectors)
+        assert np.array_equal(ran_on.distances(), pairwise_sq_distances(chosen))
 
 
 def test_search_needs_defense_handle():
@@ -140,7 +141,7 @@ def test_degenerate_defense_rounds_score_minus_inf():
             raise DegenerateRoundError(None)
         return _avg_defense(gs)
 
-    crafted, _, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
+    crafted, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     # only the non-degenerate grid point (the last, eps* = eps) can be chosen
     assert crafted.tolist() == [[-0.2]]
 
@@ -151,7 +152,7 @@ def test_all_degenerate_still_returns_a_vector():
     def defense(gs: GradientSet) -> AggregationResult:
         raise DegenerateRoundError(None)
 
-    crafted, _, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
+    crafted, _ = craft_attack(AttackSpec(kind="foe", eps=0.1), honest, 1, defense)
     assert crafted.shape == (1, 1)
     # falls back to the first grid point
     assert crafted[0, 0] == pytest.approx(-0.02, abs=1e-15)
@@ -163,7 +164,7 @@ def test_search_optimality_exhaustive(seed, kind):
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((6, 3))
     spec = AttackSpec(kind=kind, z=1.0, eps=0.5)
-    crafted, _, _ = craft_attack(spec, honest, 2, _avg_defense)
+    crafted, _ = craft_attack(spec, honest, 2, _avg_defense)
     mean, std = honest_summary(honest)
 
     def deviation(vec):
@@ -190,7 +191,7 @@ def test_non_finite_candidates_score_minus_inf():
         return _avg_defense(gs)
 
     with np.errstate(over="ignore"):
-        crafted, _, _ = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
+        crafted, _ = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 1, defense)
     assert crafted.tolist() == [[-1e308]]
     assert len(calls) == 1
 
@@ -218,12 +219,12 @@ def test_an_overflowing_mix_scores_minus_inf():
 
     def defense(gs: GradientSet) -> AggregationResult:
         try:
-            return nnm_median(gs, keep_mix=True)
+            return nnm_median(gs, keep=True)
         except DegenerateRoundError as err:
             errors.append(str(err))
             raise
 
-    crafted, distances, mixed = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 3, defense)
+    crafted, ran_on = craft_attack(AttackSpec(kind="foe", eps=100.0), honest, 3, defense)
     assert errors == ["nearest-neighbor mixing overflowed in mixed row 0"] * 5
     mean = honest.mean(axis=0)
 
@@ -234,6 +235,29 @@ def test_an_overflowing_mix_scores_minus_inf():
     scored = [np.tile(-ev * mean, (3, 1)) for ev in foe_candidates(100.0)[:5]]
     best = max(range(5), key=lambda i: (deviation(scored[i]), -i))
     assert np.array_equal(crafted, scored[best])
-    assert distances is None
     fresh = GradientSet(np.vstack([crafted, honest]))
-    assert np.array_equal(mixed.vectors, nnm_mix(fresh, 3).vectors)
+    assert np.array_equal(ran_on.vectors, nnm_mix(fresh, 3).vectors)
+
+
+def test_a_non_finite_aggregate_scores_minus_inf(monkeypatch):
+    """A candidate whose aggregate is non-finite is a degenerate round, so
+    the search does not choose it, however far its aggregate lies. Against
+    the average the last FoE grid point, eps* = eps, drags farthest."""
+    honest = np.array([[1.0, 2.0], [3.0, 5.0]])
+    mean_rule = Aggregator(AggregatorSpec("average"), 3, 1)
+    calls = []
+    original = aggregators.average
+
+    def inf_for_the_second_candidate(g):
+        calls.append(None)
+        aggregate = original(g)
+        if len(calls) == 2:
+            aggregate[0] = np.inf
+        return aggregate
+
+    monkeypatch.setattr(aggregators, "average", inf_for_the_second_candidate)
+    spec = AttackSpec(kind="foe", eps=0.1)
+    crafted, ran_on = craft_attack(spec, honest, 1, lambda gs: mean_rule(gs, keep=True))
+    assert len(calls) == len(foe_candidates(0.1))
+    assert np.array_equal(crafted, [-foe_candidates(0.1)[-1] * honest.mean(axis=0)])
+    assert np.array_equal(ran_on.vectors, np.vstack([crafted, honest]))

@@ -107,6 +107,21 @@ def test_other_sections_in_the_file_are_kept(pairs, tmp_path):
     assert set(report["workloads"]) == {"local-grid --seed0 9", "local-grid --seed0 0 --trace 1"}
 
 
+def test_trees_at_unequal_path_lengths_are_refused(pairs, tmp_path, capsys):
+    """wide-aggregation's peak_rss_mb follows the checkout's path length, so
+    trees whose resolved paths differ in length exit 2 before any run and
+    write nothing; the message names both lengths."""
+    module, made = pairs
+    out = tmp_path / "bench.json"
+    parent, change = tmp_path / "parent", tmp_path / "changed"
+    argv = [str(parent), str(change), "--workload", "local-grid", "--pairs", "2",
+            "--seed0", "0", "--out", str(out)]
+    assert module.main(argv) == 2
+    assert made == [] and not out.exists()
+    message = capsys.readouterr().err
+    assert f"parent {len(str(parent.resolve()))}, change {len(str(change.resolve()))}" in message
+
+
 def test_a_run_records_its_minor_faults(monkeypatch, tmp_path):
     """The faults of one run are the growth of the children's ru_minflt
     across it, whether or not the run printed a result."""

@@ -8,7 +8,7 @@ import robustfed.aggregators as aggregators
 import robustfed.attacks as attacks
 import robustfed.engine as engine_mod
 import robustfed.geometry as geometry
-from robustfed.aggregators import AggregationResult, Aggregator
+from robustfed.aggregators import Aggregator
 from robustfed.attacks import LOCAL_ATTACK_KINDS, alie_candidates
 from robustfed.config import ExperimentConfig, TrainSchedule, config_from_dict, validate_config
 from robustfed.datasim import LabeledDataset, flip_labels
@@ -301,7 +301,7 @@ def test_mean_preserving_injection_trajectory():
     cfg = small_config(n_byzantine=2, attack={"kind": "sign_flip"})
 
     def send_honest_mean(spec, honest, f, defense=None, byz_local=None):
-        return np.tile(honest.mean(axis=0), (f, 1)), None, None
+        return np.tile(honest.mean(axis=0), (f, 1)), None
 
     original = engine_mod.craft_attack
     engine_mod.craft_attack = send_honest_mean
@@ -339,7 +339,7 @@ def test_degenerate_round_freezes_model_and_flags_record():
 
     original = Aggregator.__call__
 
-    def always_degenerate(self, g, state=None, mixed=None):
+    def always_degenerate(self, g, state=None, ran_on=None):
         raise DegenerateRoundError(empty_scores)
 
     Aggregator.__call__ = always_degenerate
@@ -356,30 +356,31 @@ def test_degenerate_round_freezes_model_and_flags_record():
 
 
 def test_non_finite_aggregate_freezes_model_and_flags_record(monkeypatch):
-    """A NaN aggregate in round 2 leaves theta as a degenerate round does,
-    and the run goes on instead of failing on non-finite logits in round 3."""
+    """A NaN aggregate from the rule in round 2 leaves theta as a degenerate
+    round does, and the run goes on instead of failing on non-finite logits
+    in round 3."""
     cfg = small_config(schedule={"rounds": 6, "batch_size": 8})
-    original = Aggregator.__call__
+    original = aggregators.average
     rounds = []
 
     def failing_in_round_2(failure):
-        def call(self, g, state=None, mixed=None):
+        def rule(g):
             rounds.append(None)
             if len(rounds) % cfg.schedule.rounds == 3:
                 return failure()
-            return original(self, g, state, mixed)
+            return original(g)
 
-        return call
+        return rule
 
     def nan_aggregate():
-        return AggregationResult(np.full(cfg.model.param_dim, np.nan))
+        return np.full(cfg.model.param_dim, np.nan)
 
     def degenerate_round():
         raise DegenerateRoundError(None)
 
-    monkeypatch.setattr(Aggregator, "__call__", failing_in_round_2(nan_aggregate))
+    monkeypatch.setattr(aggregators, "average", failing_in_round_2(nan_aggregate))
     result = run_training(cfg)
-    monkeypatch.setattr(Aggregator, "__call__", failing_in_round_2(degenerate_round))
+    monkeypatch.setattr(aggregators, "average", failing_in_round_2(degenerate_round))
     skipped = run_training(cfg)
 
     assert [rec.degenerate for rec in result.records] == [False, False, True, False, False, False]
@@ -472,6 +473,28 @@ def test_a_searched_round_computes_its_distances_once(monkeypatch):
     assert swept == [cfg.n_clients - cfg.n_byzantine] * cfg.schedule.rounds
 
 
+def test_a_searched_round_builds_each_candidate_matrix_once(monkeypatch):
+    """Prodigy reads each candidate's distances in the search, and the final
+    aggregation runs on the winner's set with the matrix the search built,
+    so no candidate matrix is built after the search."""
+    cfg = small_config(
+        n_byzantine=2,
+        attack={"kind": "alie", "z": 1.0},
+        defense={"kind": "prodigy"},
+        schedule={"rounds": 5, "batch_size": 8},
+    )
+    built = []
+    original = attacks._CandidateSets.distances
+
+    def counting(self, byz_vector):
+        built.append(None)
+        return original(self, byz_vector)
+
+    monkeypatch.setattr(attacks._CandidateSets, "distances", counting)
+    run_training(cfg)
+    assert len(built) == len(alie_candidates(1.0)) * cfg.schedule.rounds
+
+
 @pytest.mark.parametrize(
     "attack, mixes_per_round",
     [({"kind": "alie", "z": 1.0}, len(alie_candidates(1.0))), ({"kind": "sign_flip"}, 1)],
@@ -524,11 +547,11 @@ def test_an_overflowing_final_mix_is_a_degenerate_round(monkeypatch):
     original_call = Aggregator.__call__
     calls = []
 
-    def degenerate_in_round_2(self, g, state=None, mixed=None):
+    def degenerate_in_round_2(self, g, state=None, ran_on=None):
         calls.append(None)
         if len(calls) == 3:
             raise DegenerateRoundError(None)
-        return original_call(self, g, state, mixed)
+        return original_call(self, g, state, ran_on)
 
     monkeypatch.setattr(Aggregator, "__call__", degenerate_in_round_2)
     skipped = run_training(cfg)

@@ -707,10 +707,10 @@ def search_candidates(honest: np.ndarray) -> np.ndarray:
 def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
     """The same sets and distances per candidate, and the same choice and
     deviation per candidate for every defense defined at this N and f. The
-    search hands on the choice's mix, that of a fresh set of it, exactly
-    when the defense mixed it (an NNM rule whose round on it was not
-    degenerate); else the choice's distances, those of a fresh set of it,
-    exactly when the defense read distances. Returns each defense's
+    search hands on the set the defense ran on for the choice: for an NNM
+    rule the mix of a fresh set of it, else the choice's set itself, with
+    the very matrix the rule read during the search, that of a fresh set;
+    None only when every candidate was degenerate. Returns each defense's
     deviations."""
     if candidates is None:
         candidates = search_candidates(honest)
@@ -730,13 +730,14 @@ def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
         except ValueError:
             continue  # the rule is not defined at this N and f
         deviations = []
-        reads = []
+        reads = []  # per call, the matrices its candidate's supplier returned
 
         def defense(gs, aggregator=aggregator, deviations=deviations, reads=reads):
-            supplied = gs.distances
-            gs.distances = lambda: reads.append(1) or supplied()
+            supplied, read = gs.distances, []
+            gs.distances = lambda: read.append(supplied()) or read[-1]
+            reads.append(read)
             try:
-                result = aggregator(gs, state, keep_mix=True)
+                result = aggregator(gs, state, keep=True)
             except DegenerateRoundError:
                 deviations.append(-np.inf)
                 raise
@@ -744,22 +745,23 @@ def assert_search_exact(honest: np.ndarray, f: int, candidates=None) -> dict:
             return result
 
         args = (range(len(candidates)), candidates.__getitem__, honest, f)
-        chosen, distances, mixed = _grid_search(*args, defense, reference)
+        chosen, ran_on = _grid_search(*args, defense, reference)
         expected, expected_devs, expected_dev = loop_grid_search(
             *args, lambda gs, aggregator=aggregator: aggregator(gs, state).vector, reference
         )
         assert np.array_equal(chosen, expected), spec.label()
         assert np.array_equal(np.array(deviations), expected_devs), spec.label()
         fresh = loop_mixed_set(honest, f, expected)
-        if spec.nnm_enabled and expected_dev > -np.inf:
-            assert same_bits(mixed.vectors, nnm_mix(fresh, f).vectors), spec.label()
-            assert distances is None, spec.label()
+        if expected_dev == -np.inf:
+            assert ran_on is None, spec.label()
+        elif spec.nnm_enabled:
+            assert same_bits(ran_on.vectors, nnm_mix(fresh, f).vectors), spec.label()
         else:
-            assert mixed is None, spec.label()
-            if reads:
-                assert same_bits(distances, pairwise_sq_distances(fresh)), spec.label()
-            else:
-                assert distances is None, spec.label()
+            assert same_bits(ran_on.vectors, fresh.vectors), spec.label()
+            read = reads[int(np.argmax(expected_devs))]
+            if read:
+                assert ran_on.distances() is read[0], spec.label()
+                assert same_bits(read[0], pairwise_sq_distances(fresh)), spec.label()
         found[spec.label()] = expected_devs
     return found
 
@@ -928,7 +930,7 @@ def loop_run_training(cfg):
             honest_rows = np.stack([sent[c[0]] for c in honest_clients])
             defense = lambda gs: aggregator(gs, state)  # noqa: E731
             f = len(byz_clients)
-            crafted, _, _ = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
+            crafted, _ = craft_attack(cfg.attack, honest_rows, f, defense, byz_local=local)
             for i, client in enumerate(byz_clients):
                 v = crafted[i]
                 if local_attack and sched.momentum > 0:
