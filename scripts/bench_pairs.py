@@ -18,8 +18,10 @@ The output holds every run's metrics, failed and attempted counts,
 children, from ``resource.getrusage(RUSAGE_CHILDREN)`` before and after it),
 and per workload and metric the medians and quartiles
 (``numpy.percentile``, linear) of each side, the pairs the change wins, the
-difference of the medians against the parent's interquartile range, and the
-relative change of the medians. Which way is better is read from
+difference of the medians against the parent's interquartile range, the
+relative change of the medians, and the ratio change/parent of each pair
+with its quartiles (pairs whose parent reads 0 have no ratio). Which way is
+better is read from
 ``BENCHMARK.json``. Each workload's section is keyed by the workload, the
 first seed and the trace flag. The file is rewritten after every run, so an
 interrupted session keeps the runs it made; a file that already exists keeps
@@ -106,6 +108,7 @@ def summarize(runs: list[dict], specs: dict) -> dict:
         sign = 1.0 if spec["better"] == "higher" else -1.0
         stats = {s: quartiles(got[s]) for s in SIDES}
         parent, change = stats["parent"]["median"], stats["change"]["median"]
+        ratios = [c / p for p, c in zip(got["parent"], got["change"]) if p]
         entry = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -114,6 +117,7 @@ def summarize(runs: list[dict], specs: dict) -> dict:
             **stats,
             "median_change_pct": 100.0 * (change - parent) / parent if parent else None,
             "median_gain_exceeds_parent_iqr": sign * (change - parent) > stats["parent"]["iqr"],
+            "pair_ratio": {"per_pair": ratios, **quartiles(ratios)} if ratios else None,
         }
         if "bound" in spec:
             entry["bound"] = spec["bound"]

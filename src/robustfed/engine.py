@@ -73,9 +73,11 @@ def lr_schedule(round_idx: int, sched: TrainSchedule) -> float:
 
 @dataclass(frozen=True)
 class LocalClients:
-    """The clients that train locally, in update order, with their shards
-    concatenated once per run: client k holds rows offsets[k] .. offsets[k] +
-    sizes[k] - 1, so a local iteration's batches are one gather."""
+    """The clients that train locally, with their shards concatenated once
+    per run: the k-th client of the block holds rows offsets[k] .. offsets[k]
+    + sizes[k] - 1, so a local iteration's batches are one gather.
+    ``build_clients`` puts them in the round layout (row k is client k,
+    byzantines first)."""
 
     client_ids: tuple[int, ...]
     features: np.ndarray
@@ -109,7 +111,7 @@ def client_update(
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Run the local iterations of each client; return the (len, P)
-    rate-normalized displacements, one row per client in order.
+    rate-normalized displacements, one row per client in block order.
 
     ``rngs`` holds each client's generator for this round, built from the
     clients' streams (``seeding.stream_generators``). Batches are disjoint
@@ -119,23 +121,21 @@ def client_update(
     lockstep, one batched model pass per local iteration, and every row
     equals that client's update computed alone.
 
-    The error raised is that of the first failing client in order: a shard
-    that cannot fill a batch, or non-finite logits at any local iteration.
+    One failure stops the block. A shard that cannot fill a batch raises for
+    the first such client, before any work. Non-finite logits raise
+    ``model_gradient``'s error, for the lowest row at the first local
+    iteration where any row diverges.
     """
     b = sched.batch_size
-    n = len(clients.sizes)
-    error = None
     short = np.flatnonzero(clients.sizes < b)
     if short.size:
-        n = int(short[0])
-        error = ValueError(
-            f"client {clients.client_ids[n]} shard of {clients.sizes[n]} samples "
+        k = short[0]
+        raise ValueError(
+            f"client {clients.client_ids[k]} shard of {clients.sizes[k]} samples "
             f"cannot fill a batch of {b}"
         )
-        if not n:
-            raise error
 
-    offsets, sizes = clients.offsets[:n], clients.sizes[:n]
+    offsets, sizes = clients.offsets, clients.sizes
     # client k's current permutation of its own rows, in its block of rows
     order = np.empty(len(clients.labels), dtype=np.intp)
     starts = sizes.copy()  # exhausted: the first iteration draws every permutation
@@ -148,24 +148,10 @@ def client_update(
             np.add(rngs[k].permutation(m), o, out=order[o : o + m])
             starts[k] = 0
         rows = order[(offsets + starts)[:, None] + within]
-        x, y = clients.features[rows], clients.labels[rows]
         starts += b
-        try:
-            grad = model_gradient(spec, theta_local, (x, y))
-        except ValueError as err:
-            # the clients before the diverged one carry on, as they would alone;
-            # re-raise if it is the first client or not a divergence at all
-            n = getattr(err, "client", None)
-            if not n:
-                raise
-            error = err
-            offsets, sizes, starts = offsets[:n], sizes[:n], starts[:n]
-            theta_local = theta_local if theta_local.ndim == 1 else theta_local[:n]
-            grad = model_gradient(spec, theta_local, (x[:n], y[:n]))
+        grad = model_gradient(spec, theta_local, (clients.features[rows], clients.labels[rows]))
         if gamma is not None:
             theta_local = theta_local - gamma * grad
-    if error is not None:
-        raise error
     return grad if gamma is None else (theta - theta_local) / gamma
 
 
@@ -195,11 +181,10 @@ def client_shards(cfg: ExperimentConfig) -> list[LabeledDataset]:
 def build_clients(cfg: ExperimentConfig) -> tuple[LocalClients, LabeledDataset]:
     """Generate data and cut shards; returns the local clients + test set.
 
-    Byzantine roles go to the lowest f client ids. The block holds the honest
-    clients f..N-1 and then, under a local attack only, the byzantines
-    0..f-1: honest updates, and errors, come first. Label-flip byzantines get
-    their shard flipped here, once, so their local updates are poisoned at
-    the source.
+    Byzantine roles go to the lowest f client ids. The block is in the round
+    layout: every client 0..N-1 under a local attack, the honest clients
+    f..N-1 otherwise. Label-flip byzantines get their shard flipped here,
+    once, so their local updates are poisoned at the source.
     """
     shards = client_shards(cfg)
     data = cfg.data
@@ -207,9 +192,7 @@ def build_clients(cfg: ExperimentConfig) -> tuple[LocalClients, LabeledDataset]:
         data.n_classes, data.dim, data.test_per_class, data.separation, stream_id(cfg.seed, "test")
     )
     f = cfg.n_byzantine
-    ids = list(range(f, cfg.n_clients))
-    if cfg.attack.kind in LOCAL_ATTACK_KINDS:
-        ids += range(f)
+    ids = range(0 if cfg.attack.kind in LOCAL_ATTACK_KINDS else f, cfg.n_clients)
     flip = cfg.attack.kind == "label_flip"
     clients = LocalClients.of(
         ids,
@@ -222,9 +205,10 @@ def build_clients(cfg: ExperimentConfig) -> tuple[LocalClients, LabeledDataset]:
 def run_training(cfg: ExperimentConfig) -> TrainResult:
     """Execute the full round loop and return the model plus round records.
 
-    Degenerate aggregation rounds (all clients filtered, an overflowing NNM
-    mix, or a non-finite aggregate) leave the model unchanged and are
-    flagged in the record rather than falling back to an unprotected rule.
+    Degenerate rounds (all clients filtered, an overflowing NNM mix, a
+    non-finite aggregate, or a model step that leaves the float range) leave
+    the model unchanged and are flagged in the record rather than falling
+    back to an unprotected rule.
     """
     validate_config(cfg)
     sched = cfg.schedule
@@ -249,7 +233,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
 
         start = time.perf_counter()
         updates = client_update(model, theta, clients, sched, t, next(round_rngs))
-        sent[f:] = updates[: n - f]
+        sent[n - len(updates) :] = updates
         if beta > 0:
             sent[f:] = apply_momentum(momentum[f:], sent[f:], beta)
         client_ms = (time.perf_counter() - start) * 1e3
@@ -260,10 +244,8 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
             start = time.perf_counter()
             check_finite(sent[f:], f)  # name the client, not its row in the honest set
             defense = lambda gs: aggregator(gs, state, keep=True)  # noqa: E731
-            # the byzantines' own updates; no rows under a searched attack
-            sent[:f], ran_on = craft_attack(
-                cfg.attack, sent[f:], f, defense, byz_local=updates[n - f :]
-            )
+            byz_local = sent[:f] if local_attack else None  # the byzantines' own updates
+            sent[:f], ran_on = craft_attack(cfg.attack, sent[f:], f, defense, byz_local)
             if local_attack and beta > 0:  # omniscient attacks send theirs as-is
                 sent[:f] = apply_momentum(momentum[:f], sent[:f], beta)
             attack_ms = (time.perf_counter() - start) * 1e3
@@ -278,9 +260,11 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
             degenerate = True
         wall_ms = (time.perf_counter() - start) * 1e3
 
+        with np.errstate(over="ignore"):  # a step past the float range is no safe update either
+            stepped = theta - gamma * result.vector
+        degenerate = degenerate or not np.isfinite(stepped).all()
         if not degenerate:
-            theta = theta - gamma * result.vector
-            state.prev_aggregate = result.vector
+            theta, state.prev_aggregate = stepped, result.vector
 
         accuracy = loss = None
         start = time.perf_counter()

@@ -243,21 +243,16 @@ def neighbor_order(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indices, np.take_along_axis(distances, indices, axis=1)
 
 
-def vector_set_stats(subset: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """Mean and population RMS spread (root-mean-square distance to the mean)
-    of a nonempty set of equal-length vectors.
-
-    A 2-D ``(m, d)`` set gives a ``(d,)`` mean and a float spread. A 3-D
-    ``(B, m, d)`` batch of sets gives ``(B, d)`` means and ``(B,)`` spreads,
-    each bit-identical to the 2-D call on that set.
-    """
-    arr = np.asarray(subset, dtype=np.float64)
-    if arr.ndim not in (2, 3) or 0 in arr.shape[:-1]:
-        raise ValueError("subset must be a nonempty 2-D set or 3-D batch of sets of vectors")
+def vector_set_stats(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and population RMS spreads (root-mean-square distance to the
+    mean) of a nonempty ``(B, m, d)`` batch of nonempty sets of equal-length
+    vectors: ``(B, d)`` means and ``(B,)`` spreads."""
+    arr = np.asarray(batch, dtype=np.float64)
+    if arr.ndim != 3 or 0 in arr.shape[:-1]:
+        raise ValueError("batch must be a nonempty 3-D batch of nonempty sets of vectors")
     mean = arr.mean(axis=-2)
     diff = arr - mean[..., None, :]
-    spread = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff).mean(axis=-1))
-    return mean, float(spread) if arr.ndim == 2 else spread
+    return mean, np.sqrt(np.einsum("...ij,...ij->...i", diff, diff).mean(axis=-1))
 
 
 def wide_set(g: GradientSet) -> bool:

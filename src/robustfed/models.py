@@ -117,8 +117,8 @@ def model_gradient(spec: ModelSpec, theta: np.ndarray, batch) -> np.ndarray:
     shared (P,) or per client (N, P), and row k of the (N, P) result is
     bit-identical to the 2-D call on client k's batch and parameters.
 
-    A batched call that meets non-finite logits raises for the first such
-    client; the error's ``client`` attribute holds its row.
+    Non-finite logits raise a ValueError that gives the largest parameter
+    magnitude of the lowest row that has them.
     """
     x, y = (batch.features, batch.labels) if isinstance(batch, LabeledDataset) else batch
     theta = np.asarray(theta, dtype=np.float64)
@@ -141,11 +141,9 @@ def model_gradient(spec: ModelSpec, theta: np.ndarray, batch) -> np.ndarray:
     if not finite.all():
         k = int(np.argmin(finite))
         offending = theta if theta.ndim == 1 else theta[k]
-        err = ValueError(
+        raise ValueError(
             f"non-finite logits (max |theta| = {np.abs(offending).max():.3e}); training diverged"
         )
-        err.client = k
-        raise err
     probs = np.exp(_log_softmax(logits))
     probs[np.arange(n)[:, None], np.arange(m), y] -= 1.0
     dlogits = probs / m
@@ -183,8 +181,6 @@ def evaluate(spec: ModelSpec, theta: np.ndarray, test: LabeledDataset) -> tuple[
     """(accuracy, mean cross-entropy loss) on a held-out set, from one forward
     pass. The predicted class is the argmax of the logits; ties resolve to the
     lowest class index."""
-    if test.n_samples < 1:
-        raise ValueError("test set must be nonempty")
     logits, _ = _forward(spec, np.asarray(theta, dtype=np.float64), test.features)
     loss = _mean_cross_entropy(logits, test.labels)
     return float((logits.argmax(axis=1) == test.labels).mean()), loss

@@ -35,6 +35,8 @@ def pairs(monkeypatch):
                 "agg_ms_p50": {"value": 10.0 + seed - (2.0 if faster else 0.0), "unit": "ms"},
                 "rounds_per_s": {"value": 100.0, "unit": "1/s"},
                 "peak_rss_mb": {"value": 70.0 + change, "unit": "MB"},
+                # the parent's first run reads 0, so that pair has no ratio
+                "setup_s": {"value": float(change or seed > 0), "unit": "s"},
             },
         }
 
@@ -83,9 +85,15 @@ def test_pairs_alternate_and_summarize(pairs, tmp_path):
     assert agg["median_change_pct"] == pytest.approx(-100.0 / 6)
     assert agg["median_gain_exceeds_parent_iqr"] is False  # a gain of 2, not more than 2
     assert agg["worse_than_bound"] is False
+    # change/parent per pair: 8/10, 9/11, 10/12, 11/13, 14/14
+    ratio = agg["pair_ratio"]
+    assert ratio["per_pair"] == pytest.approx([0.8, 9 / 11, 10 / 12, 11 / 13, 1.0])
+    assert (ratio["q1"], ratio["median"], ratio["q3"]) == pytest.approx((9 / 11, 10 / 12, 11 / 13))
 
     rounds = summary["metrics"]["rounds_per_s"]
     assert (rounds["better"], rounds["change_wins"]) == ("higher", 0)  # ties win nothing
+    assert rounds["pair_ratio"]["per_pair"] == [1.0] * 5
+    assert summary["metrics"]["setup_s"]["pair_ratio"]["per_pair"] == [1.0] * 4
     rss = summary["metrics"]["peak_rss_mb"]
     assert (rss["better"], rss["change_wins"], rss["bound"]) == ("lower", 0, 0.1)
     assert rss["worse_than_bound"] is False  # 1/70 is inside the 10 % bound

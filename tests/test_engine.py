@@ -1,4 +1,6 @@
 import ast
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,13 @@ import robustfed.engine as engine_mod
 import robustfed.geometry as geometry
 from robustfed.aggregators import Aggregator
 from robustfed.attacks import LOCAL_ATTACK_KINDS, alie_candidates
-from robustfed.config import ExperimentConfig, TrainSchedule, config_from_dict, validate_config
+from robustfed.config import (
+    ExperimentConfig,
+    TrainSchedule,
+    config_from_dict,
+    config_to_dict,
+    validate_config,
+)
 from robustfed.datasim import LabeledDataset, flip_labels
 from robustfed.engine import (
     LocalClients,
@@ -25,6 +33,7 @@ from robustfed.geometry import GradientSet
 from robustfed.models import ModelSpec, model_gradient
 from robustfed.prodigy import DegenerateRoundError, TrustScores
 from robustfed.seeding import stream_generators, stream_id
+from robustfed.sweep import SweepSpec, run_sweep
 
 
 def ref_two_step_sgd(gradient_fn, theta: np.ndarray, batches, gamma: float) -> np.ndarray:
@@ -74,13 +83,11 @@ def update_of(spec, theta, clients, sched, round_idx):
 
 def local_clients(cfg):
     """(id, shard, stream) of the clients that train locally, in update order,
-    from the data alone: honest ids f..N-1, then, under a local attack, the
-    byzantines 0..f-1 with flipped shards under label flip."""
+    from the data alone: every id 0..N-1 under a local attack, with flipped
+    byzantine shards under label flip, and the honest ids f..N-1 otherwise."""
     f = cfg.n_byzantine
     shards = client_shards(cfg)
-    ids = list(range(f, cfg.n_clients))
-    if cfg.attack.kind in LOCAL_ATTACK_KINDS:
-        ids += range(f)
+    ids = [k for k in range(cfg.n_clients) if k >= f or cfg.attack.kind in LOCAL_ATTACK_KINDS]
     flip = cfg.attack.kind == "label_flip"
     shards = [flip_labels(shards[k]) if flip and k < f else shards[k] for k in ids]
     return [(k, shard, stream_id(cfg.seed, "client", k)) for k, shard in zip(ids, shards)]
@@ -205,7 +212,7 @@ def test_byzantine_roles_and_label_flip_shards():
     cfg = small_config(n_byzantine=2, attack={"kind": "label_flip"}, defense={"kind": "prodigy"})
     clients, _ = build_clients(cfg)
     shards = client_shards(cfg)
-    assert clients.client_ids == (2, 3, 4, 5, 0, 1)
+    assert clients.client_ids == (0, 1, 2, 3, 4, 5)
     for row, k in enumerate(clients.client_ids):
         features, labels = block_rows(clients, row)
         plain = shards[k].labels
@@ -218,16 +225,17 @@ def test_byzantine_roles_and_label_flip_shards():
     "f, attack, ids",
     [
         (2, "alie", (2, 3, 4, 5)),
-        (2, "label_flip", (2, 3, 4, 5, 0, 1)),
-        (2, "sign_flip", (2, 3, 4, 5, 0, 1)),
+        (2, "label_flip", (0, 1, 2, 3, 4, 5)),
+        (2, "sign_flip", (0, 1, 2, 3, 4, 5)),
         (0, "none", (0, 1, 2, 3, 4, 5)),
     ],
     ids=["omniscient", "label_flip", "sign_flip", "no-byzantine"],
 )
 def test_build_clients_block_holds_the_local_clients_in_update_order(f, attack, ids):
-    """Honest clients first, then the byzantines under a local attack only;
-    each row holds its client's shard, flipped for a label-flip byzantine,
-    and its client's stream."""
+    """The round layout: every client under a local attack, byzantines
+    first, and the honest clients alone otherwise; each row holds its
+    client's shard, flipped for a label-flip byzantine, and its client's
+    stream."""
     cfg = small_config(n_byzantine=f, attack={"kind": attack})
     clients, _ = build_clients(cfg)
     reference = local_clients(cfg)
@@ -389,6 +397,54 @@ def test_non_finite_aggregate_freezes_model_and_flags_record(monkeypatch):
     assert [rec.test_accuracy for rec in result.records] == [
         rec.test_accuracy for rec in skipped.records
     ]
+
+
+@pytest.mark.parametrize(
+    "f, defense, separation, gamma_hi, first_step_overflows",
+    [(0, "average", 4.0, 1e300, False), (1, "prodigy", 10.0, 1e308, True)],
+    ids=["average", "prodigy"],
+)
+def test_a_step_past_the_float_range_is_a_degenerate_round(
+    f, defense, separation, gamma_hi, first_step_overflows
+):
+    """Every high-rate step that would leave the float range is a degenerate
+    round: theta stays as it was, with no overflow warning, the record keeps
+    the rule's trust scores, and the run finishes. At gamma_hi = 1e300 round
+    0's step stays finite but leaves theta near 1e298, so each later
+    high-rate step overflows; at 1e308 on wider-spread data the first one
+    does."""
+    data = {"n_classes": 4, "dim": 6, "per_class": 60, "separation": separation,
+            "test_per_class": 25, "partition": "iid"}
+    schedule = {"rounds": 20, "batch_size": 8, "gamma_hi": gamma_hi}
+    cfg = small_config(n_byzantine=f, defense={"kind": defense}, data=data, schedule=schedule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_training(cfg)
+    flags = [rec.degenerate for rec in result.records]
+    assert flags == [first_step_overflows] + [True] * 13 + [False] * 6
+    assert np.isfinite(result.theta).all()
+    # rounds 4 and 9 evaluate the same theta
+    evaluated = [(rec.test_accuracy, rec.global_loss) for rec in result.records[4:10:5]]
+    assert evaluated[0] == evaluated[1]
+    for rec in result.records:
+        # prodigy's own scores, not an all-filtered round's zeros
+        assert rec.trust is None if defense == "average" else rec.trust.final.any()
+
+
+def test_a_diverged_client_ends_the_run_and_the_sweep_records_it(tmp_path):
+    """Local steps at gamma_hi = 1e300 overflow the clients' parameters; the
+    next local iteration meets non-finite logits, run_training raises, and a
+    sweep records the run as an error with that message."""
+    schedule = {"rounds": 4, "batch_size": 8, "local_iters": 3, "gamma_hi": 1e300}
+    cfg = small_config(schedule=schedule)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="training diverged$"):
+        run_training(cfg)
+    spec = SweepSpec(base=config_to_dict(cfg), seeds=[cfg.seed])
+    with np.errstate(over="ignore"):
+        (row,) = run_sweep(spec, tmp_path / "sweep")
+    assert row["status"] == "error"
+    assert re.fullmatch(r"ValueError: non-finite logits \(max \|theta\| = .*\); training diverged",
+                        row["error"])
 
 
 @pytest.mark.parametrize(

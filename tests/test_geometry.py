@@ -118,22 +118,23 @@ def test_neighbor_order_permutation_equivariant(rows, rnd):
 
 
 def test_stats_scalar_pair():
-    mean, spread = vector_set_stats(np.array([[0.0], [1.0]]))
-    assert mean.tolist() == [0.5]
-    assert spread == 0.5
+    mean, spread = vector_set_stats(np.array([[[0.0], [1.0]]]))
+    assert mean.tolist() == [[0.5]]
+    assert spread.tolist() == [0.5]
 
 
 def test_stats_singleton_and_constant():
     v = np.array([2.0, -1.0])
-    assert vector_set_stats(v[None, :])[1] == 0.0
-    mean, spread = vector_set_stats(np.stack([v, v, v]))
-    assert np.array_equal(mean, v)
-    assert spread == 0.0
+    assert vector_set_stats(v[None, None, :])[1].tolist() == [0.0]
+    mean, spread = vector_set_stats(np.stack([v, v, v])[None])
+    assert np.array_equal(mean, v[None])
+    assert spread.tolist() == [0.0]
 
 
 def test_stats_empty_rejected():
-    # empty sets, empty batches, and arrays that are neither a set nor a batch
-    for shape in [(0, 3), (0, 2, 3), (2, 0, 3), (3,), (2, 2, 2, 2)]:
+    # empty batches, empty sets, and arrays that are not a batch of sets,
+    # a single set among them
+    for shape in [(0, 3), (0, 2, 3), (2, 0, 3), (3,), (2, 3), (2, 2, 2, 2)]:
         with pytest.raises(ValueError):
             vector_set_stats(np.empty(shape))
 
@@ -142,7 +143,7 @@ def test_stats_empty_rejected():
 @given(vector_sets())
 def test_spread_bounded_by_max_pairwise_distance(rows):
     arr = np.array(rows)
-    _, spread = vector_set_stats(arr)
+    (spread,) = vector_set_stats(arr[None])[1]
     max_sq = ref_pairwise_sq(rows)
     bound = max(max(row) for row in max_sq)
     assert spread**2 <= bound + 1e-9 * (1.0 + bound)

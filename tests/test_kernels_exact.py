@@ -14,6 +14,7 @@ independent oracles live in the other test files.
 import tracemalloc
 from collections import Counter
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -654,13 +655,13 @@ def test_batched_stats_equal_separate_calls(b, m, d, seed):
     assert means.shape == (b, d)
     assert spreads.shape == (b,)
     for i in range(b):
-        single_mean, single_spread = vector_set_stats(batch[i])
-        assert isinstance(single_spread, float)
-        assert np.array_equal(means[i], single_mean)
-        assert spreads[i] == single_spread
+        single_mean, single_spread = vector_set_stats(batch[i : i + 1])
+        assert (single_mean.shape, single_spread.shape) == ((1, d), (1,))
+        assert np.array_equal(means[i], single_mean[0])
+        assert spreads[i] == single_spread[0]
         mean, spread = loop_vector_set_stats(batch[i])
-        assert np.array_equal(single_mean, mean)
-        assert single_spread == spread
+        assert np.array_equal(single_mean[0], mean)
+        assert single_spread[0] == spread
 
 
 # --- attack search: shared candidate sets against fresh mixed sets ----------
@@ -1071,6 +1072,26 @@ def block_update(spec, theta, clients, sched, round_idx):
 ERROR_SPEC = ModelSpec("softmax_linear", input_dim=2, n_classes=2, l2_reg=0.0)
 
 
+def first_failure(spec, theta, clients, sched):
+    """The message and local step of the error ``client_update`` raises on
+    ``clients``, from each client alone: the first shard that cannot fill a
+    batch (step 0, before any work), else the lowest client at the earliest
+    local step with non-finite logits, found by running every client for 1,
+    2, ... local steps; None when no client fails."""
+    short = [c for c in clients if c[1].n_samples < sched.batch_size]
+    if short:
+        with pytest.raises(ValueError) as err:
+            loop_client_update(spec, theta, short[0], sched, 0)
+        return str(err.value), 0
+    for step in range(1, sched.local_iters + 1):
+        for client in clients:
+            try:
+                loop_client_update(spec, theta, client, replace(sched, local_iters=step), 0)
+            except ValueError as err:
+                return str(err), step
+    return None
+
+
 @pytest.mark.parametrize(
     "kinds",
     [
@@ -1082,25 +1103,31 @@ ERROR_SPEC = ModelSpec("softmax_linear", input_dim=2, n_classes=2, l2_reg=0.0)
         ("ok", "late", "small"),
         ("ok", "small", "early"),
         ("ok", "early", "late", "ok"),
+        ("ok", "late"),
     ],
 )
 @pytest.mark.parametrize("local_iters", [1, 3])
 def test_client_update_errors_follow_client_order(kinds, local_iters):
-    """The first failing client in order raises, even when a later client
-    fails at an earlier local step."""
+    """A short shard raises before any work, for the first such client;
+    otherwise the lowest client that diverges at the earliest local step
+    raises, even when an earlier client diverges later. With no failure the
+    rows are the clients' own updates."""
     sched = TrainSchedule(rounds=4, local_iters=local_iters, batch_size=4, gamma_hi=1e290)
     clients = error_clients(kinds)
     theta = np.ones(ERROR_SPEC.param_dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError) as expected:
-            for client in clients:
-                loop_client_update(ERROR_SPEC, theta, client, sched, 0)
+        expected = first_failure(ERROR_SPEC, theta, clients, sched)
+        if expected is None:
+            rows = [loop_client_update(ERROR_SPEC, theta, c, sched, 0) for c in clients]
+            assert np.array_equal(block_update(ERROR_SPEC, theta, clients, sched, 0), rows)
+            return
         with pytest.raises(ValueError) as raised:
             block_update(ERROR_SPEC, theta, clients, sched, 0)
-    assert str(raised.value) == str(expected.value)
-    if kinds[0] == "late" and local_iters > 1:
-        # the 'late' client's own parameters, not the shared start of 'early'
-        assert "max |theta| = 1.000e+00" not in str(raised.value)
+    message, step = expected
+    assert str(raised.value) == message
+    if step > 1:
+        # the diverged client's own parameters, not the shared start
+        assert "max |theta| = 1.000e+00" not in message
 
 
 def test_client_update_rows_follow_client_order():
