@@ -20,7 +20,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .aggregators import Aggregator, AggregatorSpec
-from .attacks import AttackSpec, check_alie_search
+from .attacks import AttackSpec
 from .datasim import PARTITION_KINDS
 from .models import ModelSpec
 from .prodigy import check_honest_majority
@@ -118,11 +118,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"n_byzantine: {err}") from None
     if cfg.attack.kind != "none" and cfg.n_byzantine < 1:
         raise ConfigError(f"attack.kind: {cfg.attack.kind!r} configured but n_byzantine=0")
-    if cfg.attack.kind == "alie":
-        try:
-            check_alie_search(cfg.attack.z, cfg.attack.search)
-        except ValueError as err:
-            raise ConfigError(f"attack.z: {err}") from None
     if cfg.eval_every < 1:
         raise ConfigError("eval_every: must be at least 1")
     if not 0 <= cfg.seed < 2**64:  # stream keys are 64-bit words: other seeds would alias

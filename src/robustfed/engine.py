@@ -151,7 +151,8 @@ def client_update(
         starts += b
         grad = model_gradient(spec, theta_local, (clients.features[rows], clients.labels[rows]))
         if gamma is not None:
-            theta_local = theta_local - gamma * grad
+            with np.errstate(over="ignore"):  # an overflowed step fails the next gradient or update check
+                theta_local = theta_local - gamma * grad
     return grad if gamma is None else (theta - theta_local) / gamma
 
 

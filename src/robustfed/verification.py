@@ -3,12 +3,19 @@
 Each check is deterministic, runs at desk scale, and reports one verdict.
 The CLI `verify` command runs the whole battery; the acceptance test suite
 reuses the same functions with the same tolerances.
+
+A check is a function ``check_<words>`` under the ``_check`` decorator. Its
+body returns ``(passed, detail)``; the decorator times the body and returns
+a ``CheckResult`` named by the function: ``check_worked_examples`` reports
+as ``worked-examples``.
 """
 
 from __future__ import annotations
 
+import functools
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,11 +41,13 @@ from .aggregators import (
 from .attacks import AttackSpec, alie_candidates, craft_attack, foe_candidates, honest_summary
 from .config import config_from_dict
 from .datasim import LabeledDataset, PartitionSpec, generate_blobs, partition
+from .engine import run_training
 from .geometry import GradientSet
 from .models import ModelSpec, model_gradient, model_loss
 from .prodigy import DegenerateRoundError, prodigy_aggregate
 from .runner import execute_run
 from .seeding import derived_rng
+from .sweep import SweepSpec, run_sweep
 
 
 @dataclass
@@ -49,13 +58,22 @@ class CheckResult:
     seconds: float
 
 
-def _finish(name: str, start: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail, time.perf_counter() - start)
+def _check(body: Callable[..., tuple[bool, str]]) -> Callable[..., CheckResult]:
+    """Time ``body`` and name its verdict after the function."""
+    name = body.__name__.removeprefix("check_").replace("_", "-")
+
+    @functools.wraps(body)
+    def check(*args, **kwargs) -> CheckResult:
+        start = time.perf_counter()
+        passed, detail = body(*args, **kwargs)
+        return CheckResult(name, passed, detail, time.perf_counter() - start)
+
+    return check
 
 
-def check_prodigy_oracle_equivalence(instances: int = 1000) -> CheckResult:
+@_check
+def check_prodigy_oracle_equivalence(instances: int = 1000) -> tuple[bool, str]:
     """Library output vs literal-transcription oracle over the small-N grid."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "prodigy-oracle")
     worst = 0.0
     cases = 0
@@ -66,23 +84,15 @@ def check_prodigy_oracle_equivalence(instances: int = 1000) -> CheckResult:
                 agg, _ = prodigy_aggregate(GradientSet(vectors.copy()), f)
                 ref, _ = oracles.ref_prodigy(vectors, f)
                 if ref is None:
-                    return _finish(
-                        "prodigy-oracle-equivalence", start, False, "oracle hit degenerate round"
-                    )
+                    return False, "oracle hit degenerate round"
                 worst = max(worst, float(np.max(np.abs(agg - ref))))
                 cases += 1
-    passed = worst <= 1e-10
-    return _finish(
-        "prodigy-oracle-equivalence",
-        start,
-        passed,
-        f"{cases} instances, max deviation {worst:.3e} (tol 1e-10)",
-    )
+    return worst <= 1e-10, f"{cases} instances, max deviation {worst:.3e} (tol 1e-10)"
 
 
-def check_prodigy_exact_f_filtering(instances: int = 10000, n: int = 10, f: int = 3) -> CheckResult:
+@_check
+def check_prodigy_exact_f_filtering(instances: int = 10000, n: int = 10, f: int = 3) -> tuple[bool, str]:
     """Continuous random inputs are tie-free, so exactly f scores must be zeroed."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "prodigy-filtering")
     bad = 0
     for _ in range(instances):
@@ -90,18 +100,13 @@ def check_prodigy_exact_f_filtering(instances: int = 10000, n: int = 10, f: int 
         _, scores = prodigy_aggregate(GradientSet(vectors), f)
         if int(np.sum(scores.final == 0.0)) != f:
             bad += 1
-    return _finish(
-        "prodigy-exact-f-filtering",
-        start,
-        bad == 0,
-        f"{instances} instances, {bad} with zero-count != {f}",
-    )
+    return bad == 0, f"{instances} instances, {bad} with zero-count != {f}"
 
 
-def check_prodigy_convex_combination(instances: int = 1000) -> CheckResult:
+@_check
+def check_prodigy_convex_combination(instances: int = 1000) -> tuple[bool, str]:
     """Weights nonnegative and summing to 1 within 1e-12; output inside the
     coordinate-wise bounding box of the inputs."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "prodigy-convexity")
     worst_sum = 0.0
     box_violations = 0
@@ -111,23 +116,18 @@ def check_prodigy_convex_combination(instances: int = 1000) -> CheckResult:
         agg, scores = prodigy_aggregate(GradientSet(vectors), f)
         weights = scores.final / scores.final.sum()
         if (weights < 0).any():
-            return _finish("prodigy-convex-combination", start, False, "negative weight")
+            return False, "negative weight"
         worst_sum = max(worst_sum, abs(float(weights.sum()) - 1.0))
         lo, hi = vectors.min(axis=0), vectors.max(axis=0)
         if ((agg < lo - 1e-12) | (agg > hi + 1e-12)).any():
             box_violations += 1
     passed = worst_sum <= 1e-12 and box_violations == 0
-    return _finish(
-        "prodigy-convex-combination",
-        start,
-        passed,
-        f"max |sum(w)-1| = {worst_sum:.3e}, {box_violations} bounding-box violations",
-    )
+    return passed, f"max |sum(w)-1| = {worst_sum:.3e}, {box_violations} bounding-box violations"
 
 
-def check_prodigy_positive_homogeneity(instances: int = 1000) -> CheckResult:
+@_check
+def check_prodigy_positive_homogeneity(instances: int = 1000) -> tuple[bool, str]:
     """||rule(c*g) - c*rule(g)|| <= 1e-9 * c * max_k ||g_k|| for c in {0.5, 2, 10}."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "prodigy-homogeneity")
     worst_ratio = 0.0
     for _ in range(instances):
@@ -139,18 +139,12 @@ def check_prodigy_positive_homogeneity(instances: int = 1000) -> CheckResult:
             scaled, _ = prodigy_aggregate(GradientSet(c * vectors), f)
             deviation = float(np.linalg.norm(scaled - c * base))
             worst_ratio = max(worst_ratio, deviation / (c * scale_ref))
-    passed = worst_ratio <= 1e-9
-    return _finish(
-        "prodigy-positive-homogeneity",
-        start,
-        passed,
-        f"max scaled deviation ratio {worst_ratio:.3e} (tol 1e-9)",
-    )
+    return worst_ratio <= 1e-9, f"max scaled deviation ratio {worst_ratio:.3e} (tol 1e-9)"
 
 
-def check_prodigy_permutation_equivariance(instances: int = 1000) -> CheckResult:
+@_check
+def check_prodigy_permutation_equivariance(instances: int = 1000) -> tuple[bool, str]:
     """Relabeling clients must permute the scores and leave the aggregate bit-equal."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "prodigy-permutation")
     for _ in range(instances):
         n, f, d = 8, 3, 3
@@ -159,23 +153,21 @@ def check_prodigy_permutation_equivariance(instances: int = 1000) -> CheckResult
         base_agg, base_scores = prodigy_aggregate(GradientSet(vectors.copy()), f)
         perm_agg, perm_scores = prodigy_aggregate(GradientSet(vectors[perm]), f)
         if not np.array_equal(base_agg, perm_agg):
-            return _finish(
-                "prodigy-permutation-equivariance", start, False, "aggregate changed bits"
-            )
+            return False, "aggregate changed bits"
         if not np.array_equal(base_scores.final[perm], perm_scores.final):
-            return _finish(
-                "prodigy-permutation-equivariance", start, False, "scores did not permute"
-            )
-    return _finish(
-        "prodigy-permutation-equivariance", start, True, f"{instances} instances bit-identical"
-    )
+            return False, "scores did not permute"
+    return True, f"{instances} instances bit-identical"
 
 
-def check_baseline_oracle_equivalence(instances: int = 1000) -> CheckResult:
+@_check
+def check_baseline_oracle_equivalence(instances: int = 1000) -> tuple[bool, str]:
     """Every comparison rule vs its naive transcription on N <= 7, d <= 4."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "baseline-oracle")
     worst = {name: 0.0 for name in ("median", "trimmed_mean", "geomed", "krum", "cclip", "nnm")}
+
+    def track(name: str, got, want):
+        worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
+
     for _ in range(instances):
         n = int(rng.integers(5, 8))
         d = int(rng.integers(1, 5))
@@ -183,41 +175,30 @@ def check_baseline_oracle_equivalence(instances: int = 1000) -> CheckResult:
         vectors = rng.standard_normal((n, d))
         g = GradientSet(vectors.copy())
 
-        worst["median"] = max(
-            worst["median"],
-            float(np.max(np.abs(coordinate_median(g) - oracles.ref_median(vectors)))),
-        )
+        track("median", coordinate_median(g), oracles.ref_median(vectors))
         q = min(f, (n - 1) // 2)
-        worst["trimmed_mean"] = max(
-            worst["trimmed_mean"],
-            float(np.max(np.abs(trimmed_mean(g, q) - oracles.ref_trimmed_mean(vectors, q)))),
+        track("trimmed_mean", trimmed_mean(g, q), oracles.ref_trimmed_mean(vectors, q))
+        track(
+            "geomed",
+            geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS),
+            oracles.ref_geometric_median(vectors, WEISZFELD_NU, WEISZFELD_ROUNDS),
         )
-        geomed = geometric_median(g, WEISZFELD_NU, WEISZFELD_ROUNDS)
-        ref = oracles.ref_geometric_median(vectors, WEISZFELD_NU, WEISZFELD_ROUNDS)
-        worst["geomed"] = max(worst["geomed"], float(np.max(np.abs(geomed - ref))))
         if n >= f + 3:
-            worst["krum"] = max(
-                worst["krum"],
-                float(np.max(np.abs(krum(g, f) - oracles.ref_krum(vectors, f)))),
-            )
+            track("krum", krum(g, f), oracles.ref_krum(vectors, f))
         center = rng.standard_normal(d)
-        clipped = centered_clip(g, AggregatorState(center.copy()), CLIP_TAU, CLIP_ITERS)
-        ref = oracles.ref_centered_clip(vectors, center, CLIP_TAU, CLIP_ITERS)
-        worst["cclip"] = max(worst["cclip"], float(np.max(np.abs(clipped - ref))))
-        worst["nnm"] = max(
-            worst["nnm"],
-            float(np.max(np.abs(nnm_mix(g, f).vectors - np.stack(oracles.ref_nnm(vectors, f))))),
+        track(
+            "cclip",
+            centered_clip(g, AggregatorState(center.copy()), CLIP_TAU, CLIP_ITERS),
+            oracles.ref_centered_clip(vectors, center, CLIP_TAU, CLIP_ITERS),
         )
-    top = max(worst.values())
+        track("nnm", nnm_mix(g, f).vectors, np.stack(oracles.ref_nnm(vectors, f)))
     detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
-    return _finish(
-        "baseline-oracle-equivalence", start, top <= 1e-10, f"max deviations: {detail} (tol 1e-10)"
-    )
+    return max(worst.values()) <= 1e-10, f"max deviations: {detail} (tol 1e-10)"
 
 
-def check_worked_examples() -> CheckResult:
+@_check
+def check_worked_examples() -> tuple[bool, str]:
     """The hand-derived fixed-point examples must reproduce exactly."""
-    start = time.perf_counter()
     failures = []
 
     def expect(label: str, got, want, tol: float = 1e-12):
@@ -265,13 +246,12 @@ def check_worked_examples() -> CheckResult:
     expect("alie-grid-z8", alie_candidates(8.0), [2.0])
     expect("foe-grid", foe_candidates(0.1), [0.01 * m for m in range(1, 11)], tol=1e-15)
 
-    detail = "; ".join(failures) if failures else "all fixed-point examples reproduced"
-    return _finish("worked-examples", start, not failures, detail)
+    return not failures, "; ".join(failures) or "all fixed-point examples reproduced"
 
 
-def check_gradient_finite_differences(pairs: int = 100) -> CheckResult:
+@_check
+def check_gradient_finite_differences(pairs: int = 100) -> tuple[bool, str]:
     """Analytic gradient vs central differences for both model families."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "gradient-fd")
     worst = 0.0
     specs = (
@@ -294,12 +274,7 @@ def check_gradient_finite_differences(pairs: int = 100) -> CheckResult:
                 float(np.linalg.norm(analytic)), 1e-12
             )
             worst = max(worst, rel)
-    return _finish(
-        "gradient-finite-differences",
-        start,
-        worst <= 1e-5,
-        f"max relative error {worst:.3e} (tol 1e-5)",
-    )
+    return worst <= 1e-5, f"max relative error {worst:.3e} (tol 1e-5)"
 
 
 def _search_defenses(n: int, f: int) -> list[tuple[str, Aggregator]]:
@@ -308,10 +283,10 @@ def _search_defenses(n: int, f: int) -> list[tuple[str, Aggregator]]:
     return [(spec.label(), Aggregator(spec, n, f)) for spec in specs]
 
 
-def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
+@_check
+def check_attack_search_optimality(rounds_per_defense: int = 16) -> tuple[bool, str]:
     """The chosen grid point must attain the maximum aggregate deviation found
     by an exhaustive re-scan, for both searched attacks and every defense."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "attack-search")
     n, f, d = 10, 3, 5
     total = 0
@@ -339,21 +314,14 @@ def check_attack_search_optimality(rounds_per_defense: int = 16) -> CheckResult:
                     grid_vecs = [-ev * mean for ev in foe_candidates(attack.eps)]
                 best = max(deviation(v) for v in grid_vecs)
                 if chosen_dev < best:
-                    return _finish(
-                        "attack-search-optimality",
-                        start,
-                        False,
-                        f"{attack.kind} vs {label}: chosen {chosen_dev:.6e} < grid max {best:.6e}",
-                    )
+                    return False, f"{attack.kind} vs {label}: chosen {chosen_dev:.6e} < grid max {best:.6e}"
                 total += 1
-    return _finish(
-        "attack-search-optimality", start, True, f"{total} searched rounds all optimal"
-    )
+    return True, f"{total} searched rounds all optimal"
 
 
-def check_complexity_scaling(dim: int = 10_000, reps: int = 5) -> CheckResult:
+@_check
+def check_complexity_scaling(dim: int = 10_000, reps: int = 5) -> tuple[bool, str]:
     """Doubling N from 50 to 100 should land in the quadratic-cost window [3, 6]."""
-    start = time.perf_counter()
     rng = derived_rng(2024, "complexity")
 
     def mean_time(n: int) -> float:
@@ -370,9 +338,7 @@ def check_complexity_scaling(dim: int = 10_000, reps: int = 5) -> CheckResult:
     t50 = mean_time(50)
     t100 = mean_time(100)
     ratio = t100 / t50
-    return _finish(
-        "complexity-scaling",
-        start,
+    return (
         3.0 <= ratio <= 6.0,
         f"mean wall time N=50: {t50 * 1e3:.1f} ms, N=100: {t100 * 1e3:.1f} ms, ratio {ratio:.2f}",
     )
@@ -400,12 +366,10 @@ def _determinism_config(out_dir: str, seed: int = 7) -> dict:
     }
 
 
-def check_metrics_determinism() -> CheckResult:
+@_check
+def check_metrics_determinism() -> tuple[bool, str]:
     """Same config twice (and twice more inside a 2-process sweep) must yield
     byte-identical metric CSVs and trust sidecars."""
-    from .sweep import SweepSpec, run_sweep  # local import avoids a cycle
-
-    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = []
@@ -416,9 +380,9 @@ def check_metrics_determinism() -> CheckResult:
         metrics = [(p / "metrics.csv").read_bytes() for p in paths]
         trust = [(p / "trust_scores.jsonl").read_bytes() for p in paths]
         if metrics[0] != metrics[1]:
-            return _finish("metrics-determinism", start, False, "rerun changed metrics.csv")
+            return False, "rerun changed metrics.csv"
         if trust[0] != trust[1]:
-            return _finish("metrics-determinism", start, False, "rerun changed trust sidecar")
+            return False, "rerun changed trust sidecar"
 
         base = _determinism_config("")
         base.pop("output_path")
@@ -427,20 +391,16 @@ def check_metrics_determinism() -> CheckResult:
         point_files = sorted((tmp / "sweep" / "points").glob("*/metrics.csv"))
         contents = [p.read_bytes() for p in point_files]
         if len(contents) != 2 or contents[0] != contents[1]:
-            return _finish(
-                "metrics-determinism", start, False, "parallel sweep workers disagreed"
-            )
+            return False, "parallel sweep workers disagreed"
         if contents[0] != metrics[0]:
-            return _finish(
-                "metrics-determinism", start, False, "sweep output differs from direct run"
-            )
-    return _finish("metrics-determinism", start, True, "4 executions byte-identical")
+            return False, "sweep output differs from direct run"
+    return True, "4 executions byte-identical"
 
 
-def check_training_smoke() -> CheckResult:
+@_check
+def check_training_smoke() -> tuple[bool, str]:
     """No attack, plain averaging, IID shards: the linear model must clear 95%
     accuracy on well-separated blobs within 300 rounds."""
-    start = time.perf_counter()
     cfg = config_from_dict(
         {
             "n_clients": 10,
@@ -451,21 +411,14 @@ def check_training_smoke() -> CheckResult:
             "defense": {"kind": "average"},
         }
     )
-    from .engine import run_training
-
-    result = run_training(cfg)
-    return _finish(
-        "training-smoke",
-        start,
-        result.final_accuracy >= 0.95,
-        f"final accuracy {result.final_accuracy:.3f} (need >= 0.95)",
-    )
+    accuracy = run_training(cfg).final_accuracy
+    return accuracy >= 0.95, f"final accuracy {accuracy:.3f} (need >= 0.95)"
 
 
-def check_partition_properties() -> CheckResult:
+@_check
+def check_partition_properties() -> tuple[bool, str]:
     """Shards are disjoint, their union is the input multiset, and alpha=0.1
     label skew shows up as clearly sub-uniform per-client label entropy."""
-    start = time.perf_counter()
     data = generate_blobs(10, 12, 80, 2.0, seed=3)
 
     def union_matches(shards) -> bool:
@@ -481,34 +434,27 @@ def check_partition_properties() -> CheckResult:
             and sum(s.n_samples for s in shards) == data.n_samples
         )
 
+    def label_entropy(shard) -> float:
+        hist = shard.label_histogram().astype(float)
+        p = hist[hist > 0] / hist.sum()
+        return float(-(p * np.log(p)).sum())
+
     iid_shards = partition(data, PartitionSpec("iid", 10, min_shard=1), seed=5)
     if not union_matches(iid_shards):
-        return _finish("partition-properties", start, False, "iid union/disjointness broken")
+        return False, "iid union/disjointness broken"
 
     entropies_skewed = []
-    entropies_iid = []
     for draw in range(30):
         shards = partition(data, PartitionSpec("dirichlet", 10, alpha=0.1, min_shard=1), seed=100 + draw)
         if not union_matches(shards):
-            return _finish(
-                "partition-properties", start, False, f"dirichlet union broken at draw {draw}"
-            )
-        for s in shards:
-            hist = s.label_histogram().astype(float)
-            p = hist[hist > 0] / hist.sum()
-            entropies_skewed.append(float(-(p * np.log(p)).sum()))
-    for s in iid_shards:
-        hist = s.label_histogram().astype(float)
-        p = hist[hist > 0] / hist.sum()
-        entropies_iid.append(float(-(p * np.log(p)).sum()))
+            return False, f"dirichlet union broken at draw {draw}"
+        entropies_skewed += map(label_entropy, shards)
 
     mean_skewed = float(np.mean(entropies_skewed))
-    mean_iid = float(np.mean(entropies_iid))
+    mean_iid = float(np.mean([label_entropy(s) for s in iid_shards]))
     limit = 0.6 * float(np.log(10))
     passed = mean_skewed <= limit and mean_skewed < mean_iid - 0.5
-    return _finish(
-        "partition-properties",
-        start,
+    return (
         passed,
         f"mean label entropy alpha=0.1: {mean_skewed:.3f}, iid: {mean_iid:.3f}, "
         f"skew limit {limit:.3f}",

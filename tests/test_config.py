@@ -1,12 +1,11 @@
 import pytest
 
-from robustfed.attacks import ALIE_MIN_Z
+from robustfed.attacks import ALIE_MIN_Z, AttackSpec
 from robustfed.config import (
     ConfigError,
     config_from_dict,
     config_to_dict,
     parse_config,
-    validate_config,
 )
 
 
@@ -78,11 +77,9 @@ def test_searched_alie_z_below_its_bound_rejected_with_path():
             parse_config(doc.format(z=z, search=""))
         assert parse_config(doc.format(z=z, search=', "search": false')).attack.z == float(z)
     assert parse_config(doc.format(z=ALIE_MIN_Z, search="")).attack.z == ALIE_MIN_Z
-    # validate_config applies the same check to a config built in code
-    cfg = parse_config(doc.format(z=1, search=""))
-    object.__setattr__(cfg.attack, "z", 0.05)
-    with pytest.raises(ConfigError, match="^attack.z: the alie search needs z >= 0.1, got 0.05"):
-        validate_config(cfg)
+    # a config built in code meets the same check in its frozen AttackSpec
+    with pytest.raises(ValueError, match="^the alie search needs z >= 0.1, got 0.05"):
+        AttackSpec(kind="alie", z=0.05)
 
 
 def test_model_data_dimension_mismatch_rejected():

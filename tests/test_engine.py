@@ -434,13 +434,15 @@ def test_a_step_past_the_float_range_is_a_degenerate_round(
 def test_a_diverged_client_ends_the_run_and_the_sweep_records_it(tmp_path):
     """Local steps at gamma_hi = 1e300 overflow the clients' parameters; the
     next local iteration meets non-finite logits, run_training raises, and a
-    sweep records the run as an error with that message."""
+    sweep records the run as an error with that message. The overflowing
+    step itself warns nothing: the error is the only report."""
     schedule = {"rounds": 4, "batch_size": 8, "local_iters": 3, "gamma_hi": 1e300}
     cfg = small_config(schedule=schedule)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="training diverged$"):
-        run_training(cfg)
     spec = SweepSpec(base=config_to_dict(cfg), seeds=[cfg.seed])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="training diverged$"):
+            run_training(cfg)
         (row,) = run_sweep(spec, tmp_path / "sweep")
     assert row["status"] == "error"
     assert re.fullmatch(r"ValueError: non-finite logits \(max \|theta\| = .*\); training diverged",
